@@ -15,7 +15,7 @@ use std::sync::Arc;
 use eckv_simnet::{
     trace_codec, CodecOp, Delivery, Network, SimDuration, SimTime, Simulation, SpanPhase,
 };
-use eckv_store::{rpc, Payload};
+use eckv_store::{rpc, Payload, ValueHasher};
 
 use crate::fanout::{
     client_get_io, FanOut, FanOutSpec, Liveness, QuorumPolicy, Settled, ShardIo, ShardReply,
@@ -301,8 +301,20 @@ fn choose_chunks(
     }
 }
 
-/// Verifies fetched chunks against the write record; also reconstructs and
-/// checks real bytes when the workload wrote inline values.
+/// The fetched chunks as borrowed `(shard index, bytes)` survivors, or
+/// `None` unless every chunk is present and inline.
+pub(crate) fn inline_chunks(chunks: &[(usize, Option<Payload>)]) -> Option<Vec<(usize, &[u8])>> {
+    chunks
+        .iter()
+        .map(|(idx, c)| match c {
+            Some(Payload::Inline(b)) => Some((*idx, &b[..])),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Verifies fetched chunks against the write record; for inline values the
+/// exact bytes are decoded and digested against the write-time digest.
 fn check_chunks(
     world: &World,
     expected: Option<Written>,
@@ -313,21 +325,18 @@ fn check_chunks(
     }
     let Some(w) = expected else { return true };
     let shard_len = world.shard_len(w.len);
-    let all_inline = chunks
-        .iter()
-        .all(|(_, c)| matches!(c, Some(Payload::Inline(_))));
-    if all_inline {
-        // Really decode and compare digests end to end.
+    if let Some(present) = inline_chunks(chunks) {
+        // Stream the digest over the data shards (fetched ones borrowed,
+        // missing ones recovered); the value is never joined.
         let striper = world.striper.as_ref().expect("erasure scheme");
-        let n = striper.codec().total_shards();
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
-        for (idx, chunk) in chunks {
-            if let Some(Payload::Inline(b)) = chunk {
-                shards[*idx] = Some(b.to_vec());
+        match striper.data_shards(&present, w.len as usize) {
+            Ok(data) => {
+                let mut h = ValueHasher::new();
+                for shard in &data {
+                    h.update(shard);
+                }
+                h.finish() == w.digest
             }
-        }
-        match striper.decode_value(&mut shards, w.len as usize) {
-            Ok(value) => eckv_store::fnv1a_64(&value) == w.digest,
             Err(_) => false,
         }
     } else {

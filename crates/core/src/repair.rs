@@ -728,25 +728,13 @@ fn rebuild_shard(
     value_len: u64,
     value_digest: u64,
 ) -> Payload {
-    let all_inline = chunks
-        .iter()
-        .all(|(_, c)| matches!(c, Some(Payload::Inline(_))));
-    if all_inline {
+    if let Some(present) = crate::get_path::inline_chunks(chunks) {
         let striper = world.striper.as_ref().expect("erasure scheme");
-        let n = striper.codec().total_shards();
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
-        for (idx, chunk) in chunks {
-            if let Some(Payload::Inline(b)) = chunk {
-                shards[*idx] = Some(b.to_vec());
-            }
-        }
-        striper
+        let mut rebuilt = striper
             .codec()
-            .reconstruct(&mut shards)
+            .recover(&present, &[lost_shard])
             .expect("k survivors suffice");
-        Payload::inline(Bytes::from(
-            shards[lost_shard].take().expect("reconstruct fills all"),
-        ))
+        Payload::inline(Bytes::from(rebuilt.pop().expect("one shard wanted")))
     } else {
         let parent = Payload::Synthetic {
             len: value_len,

@@ -81,6 +81,46 @@ pub trait ErasureCodec: Send + Sync + fmt::Debug {
     /// Returns [`ErasureError::TooManyErasures`] when fewer than `k` shards
     /// survive, or a shape error on malformed input.
     fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError>;
+
+    /// Recovers only the `wanted` shard indices from borrowed survivors.
+    ///
+    /// `present` holds `(index, shard)` pairs of at least `k` distinct
+    /// surviving shards of one length; the result holds one buffer per
+    /// entry of `wanted`, in order. Unlike
+    /// [`reconstruct`](ErasureCodec::reconstruct) nothing is copied in and
+    /// no slot beyond `wanted` is derived, so a read can recover just its
+    /// missing data shards and a repair just its lost shard.
+    ///
+    /// The default goes through `reconstruct`; codecs with a direct
+    /// per-row decode override it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ErasureError::TooManyErasures`] when fewer than `k` shards
+    /// are present, or a shape error on malformed input (mismatched
+    /// lengths, duplicate or out-of-range indices).
+    fn recover(
+        &self,
+        present: &[(usize, &[u8])],
+        wanted: &[usize],
+    ) -> Result<Vec<Vec<u8>>, ErasureError> {
+        check_recover_shape(
+            self.data_shards(),
+            self.parity_shards(),
+            self.shard_alignment(),
+            present,
+            wanted,
+        )?;
+        let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.total_shards()];
+        for &(i, s) in present {
+            shards[i] = Some(s.to_vec());
+        }
+        self.reconstruct(&mut shards)?;
+        Ok(wanted
+            .iter()
+            .map(|&i| shards[i].clone().expect("reconstruct fills every slot"))
+            .collect())
+    }
 }
 
 /// Validates the common shard-shape preconditions shared by all codecs.
@@ -128,15 +168,45 @@ pub(crate) fn check_reconstruct_shape(
             detail: format!("expected {} shard slots, got {}", k + m, shards.len()),
         });
     }
-    let present: Vec<&Vec<u8>> = shards.iter().flatten().collect();
+    let present: Vec<(usize, &[u8])> = shards
+        .iter()
+        .enumerate()
+        .filter_map(|(i, s)| s.as_deref().map(|s| (i, s)))
+        .collect();
+    check_recover_shape(k, m, alignment, &present, &[])
+}
+
+/// Validates [`ErasureCodec::recover`] input and returns the common shard
+/// length.
+pub(crate) fn check_recover_shape(
+    k: usize,
+    m: usize,
+    alignment: usize,
+    present: &[(usize, &[u8])],
+    wanted: &[usize],
+) -> Result<usize, ErasureError> {
+    let n = k + m;
+    let mut seen = vec![false; n];
+    for &(i, _) in present {
+        if i >= n || std::mem::replace(&mut seen[i], true) {
+            return Err(ErasureError::ShapeMismatch {
+                detail: format!("present shard index {i} is out of range or repeated"),
+            });
+        }
+    }
+    if let Some(&i) = wanted.iter().find(|&&i| i >= n) {
+        return Err(ErasureError::ShapeMismatch {
+            detail: format!("wanted shard index {i} is out of range (n = {n})"),
+        });
+    }
     if present.len() < k {
         return Err(ErasureError::TooManyErasures {
             present: present.len(),
             required: k,
         });
     }
-    let len = present[0].len();
-    if present.iter().any(|s| s.len() != len) {
+    let len = present[0].1.len();
+    if present.iter().any(|(_, s)| s.len() != len) {
         return Err(ErasureError::ShapeMismatch {
             detail: "all present shards must have equal length".to_owned(),
         });
@@ -248,6 +318,88 @@ mod tests {
             check_encode_shape(2, 1, 1, &data, &parity),
             Err(ErasureError::ShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn recover_shape_checks() {
+        let a = [0u8; 4];
+        let b = [0u8; 3];
+        assert!(matches!(
+            check_recover_shape(2, 1, 1, &[(0, &a)], &[1]),
+            Err(ErasureError::TooManyErasures {
+                present: 1,
+                required: 2
+            })
+        ));
+        for (present, wanted) in [
+            (vec![(0, &a[..]), (0, &a[..])], vec![2]),
+            (vec![(0, &a[..]), (3, &a[..])], vec![2]),
+            (vec![(0, &a[..]), (1, &a[..])], vec![3]),
+            (vec![(0, &a[..]), (1, &b[..])], vec![2]),
+        ] {
+            assert!(matches!(
+                check_recover_shape(2, 1, 1, &present, &wanted),
+                Err(ErasureError::ShapeMismatch { .. })
+            ));
+        }
+        assert!(matches!(
+            check_recover_shape(2, 1, 2, &[(0, &b), (1, &b)], &[2]),
+            Err(ErasureError::BadAlignment { .. })
+        ));
+        assert_eq!(
+            check_recover_shape(2, 1, 2, &[(2, &a), (0, &a)], &[1]),
+            Ok(4)
+        );
+    }
+
+    #[test]
+    fn recover_matches_reconstruct_all_codecs() {
+        // Every erasure pattern of up to m shards, for empty, minimal and
+        // unaligned-to-SIMD shard lengths.
+        let (k, m) = (3, 2);
+        for kind in CodecKind::ALL {
+            let codec = kind.build(k, m).unwrap();
+            let align = codec.shard_alignment();
+            for len in [0, align, 37 * align] {
+                let data: Vec<Vec<u8>> = (0..k)
+                    .map(|d| (0..len).map(|j| (d * 101 + j * 7 + 1) as u8).collect())
+                    .collect();
+                let mut parity = vec![vec![0u8; len]; m];
+                {
+                    let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+                    let mut prefs: Vec<&mut [u8]> =
+                        parity.iter_mut().map(Vec::as_mut_slice).collect();
+                    codec.encode(&refs, &mut prefs).unwrap();
+                }
+                let all: Vec<Vec<u8>> = data.into_iter().chain(parity).collect();
+                for mask in 0u32..1 << (k + m) {
+                    if mask.count_ones() as usize > m {
+                        continue;
+                    }
+                    let missing: Vec<usize> =
+                        (0..k + m).filter(|&i| mask & (1 << i) != 0).collect();
+                    let present: Vec<(usize, &[u8])> = (0..k + m)
+                        .filter(|&i| mask & (1 << i) == 0)
+                        .map(|i| (i, all[i].as_slice()))
+                        .collect();
+                    let mut shards: Vec<Option<Vec<u8>>> = all
+                        .iter()
+                        .enumerate()
+                        .map(|(i, s)| (mask & (1 << i) == 0).then(|| s.clone()))
+                        .collect();
+                    codec.reconstruct(&mut shards).unwrap();
+                    let got = codec.recover(&present, &missing).unwrap();
+                    for (&i, buf) in missing.iter().zip(&got) {
+                        assert_eq!(Some(buf), shards[i].as_ref(), "{kind} len={len} lost {i}");
+                        assert_eq!(buf, &all[i], "{kind} len={len} lost {i}");
+                    }
+                    // Asking for a present shard returns it unchanged.
+                    let all_idx: Vec<usize> = (0..k + m).collect();
+                    let every = codec.recover(&present, &all_idx).unwrap();
+                    assert_eq!(every, all, "{kind} len={len} mask={mask:b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use eckv_gf::{slice, Matrix};
 
-use crate::codec::{check_encode_shape, check_reconstruct_shape, ErasureCodec};
+use crate::codec::{
+    check_encode_shape, check_reconstruct_shape, check_recover_shape, ErasureCodec,
+};
 use crate::error::ErasureError;
 
 /// `RS_Van`: the classic Reed-Solomon code the paper selects for key-value
@@ -110,61 +112,54 @@ impl ErasureCodec for RsVandermonde {
     }
 
     fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError> {
-        let len = check_reconstruct_shape(self.k, self.m, 1, shards)?;
-
-        let present: Vec<usize> = (0..self.k + self.m)
-            .filter(|&i| shards[i].is_some())
-            .collect();
-        let missing_data: Vec<usize> = (0..self.k).filter(|&i| shards[i].is_none()).collect();
-
-        if !missing_data.is_empty() {
-            // Use the first k surviving shards to solve for the data.
-            let chosen = &present[..self.k];
-            let sub = self.generator.select_rows(chosen);
-            let inv = sub
-                .invert()
-                .expect("any k rows of an MDS generator are independent");
-
-            let chosen_slices: Vec<&[u8]> = chosen
-                .iter()
-                .map(|&i| shards[i].as_deref().expect("chosen shards are present"))
-                .collect();
-
-            let coeffs: Vec<&[u8]> = missing_data.iter().map(|&d| inv.row(d)).collect();
-            let mut recovered: Vec<Vec<u8>> = vec![vec![0u8; len]; missing_data.len()];
-            {
-                let mut drefs: Vec<&mut [u8]> =
-                    recovered.iter_mut().map(|b| b.as_mut_slice()).collect();
-                slice::matrix_mac(&coeffs, &chosen_slices, &mut drefs);
-            }
-            for (&d, buf) in missing_data.iter().zip(recovered) {
-                shards[d] = Some(buf);
-            }
+        check_reconstruct_shape(self.k, self.m, 1, shards)?;
+        let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
+        if missing.is_empty() {
+            return Ok(());
         }
-
-        // Re-derive any missing parity from the (now complete) data shards.
-        let missing_parity: Vec<usize> = (self.k..self.k + self.m)
-            .filter(|&i| shards[i].is_none())
+        let present: Vec<(usize, &[u8])> = shards
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_deref().map(|s| (i, s)))
             .collect();
-        if !missing_parity.is_empty() {
-            let data_slices: Vec<&[u8]> = (0..self.k)
-                .map(|i| shards[i].as_deref().expect("data is complete"))
-                .collect();
-            let coeffs: Vec<&[u8]> = missing_parity
-                .iter()
-                .map(|&p| self.generator.row(p))
-                .collect();
-            let mut rebuilt: Vec<Vec<u8>> = vec![vec![0u8; len]; missing_parity.len()];
-            {
-                let mut drefs: Vec<&mut [u8]> =
-                    rebuilt.iter_mut().map(|b| b.as_mut_slice()).collect();
-                slice::matrix_mac(&coeffs, &data_slices, &mut drefs);
-            }
-            for (&p, buf) in missing_parity.iter().zip(rebuilt) {
-                shards[p] = Some(buf);
-            }
+        let recovered = self.recover(&present, &missing)?;
+        for (i, buf) in missing.into_iter().zip(recovered) {
+            shards[i] = Some(buf);
         }
         Ok(())
+    }
+
+    /// One `matrix_mac` pass: wanted shard `w` is row `G[w] · inv(G[chosen])`
+    /// applied to the first `k` survivors (by index), so parity nobody
+    /// asked for is never derived.
+    fn recover(
+        &self,
+        present: &[(usize, &[u8])],
+        wanted: &[usize],
+    ) -> Result<Vec<Vec<u8>>, ErasureError> {
+        let len = check_recover_shape(self.k, self.m, 1, present, wanted)?;
+        if wanted.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut chosen: Vec<(usize, &[u8])> = present.to_vec();
+        chosen.sort_unstable_by_key(|&(i, _)| i);
+        chosen.truncate(self.k);
+        let rows: Vec<usize> = chosen.iter().map(|&(i, _)| i).collect();
+        let decode = self.generator.select_rows(wanted).mul(
+            &self
+                .generator
+                .select_rows(&rows)
+                .invert()
+                .expect("any k rows of an MDS generator are independent"),
+        );
+        let coeffs: Vec<&[u8]> = (0..wanted.len()).map(|r| decode.row(r)).collect();
+        let srcs: Vec<&[u8]> = chosen.iter().map(|&(_, s)| s).collect();
+        let mut out: Vec<Vec<u8>> = vec![vec![0u8; len]; wanted.len()];
+        {
+            let mut dsts: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+            slice::matrix_mac(&coeffs, &srcs, &mut dsts);
+        }
+        Ok(out)
     }
 }
 

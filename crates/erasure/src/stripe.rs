@@ -1,8 +1,9 @@
 //! Value framing: split arbitrary-length values into aligned stripes.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use crate::codec::ErasureCodec;
+use crate::codec::{check_recover_shape, ErasureCodec};
 use crate::error::ErasureError;
 
 /// An encoded stripe: `k + m` equal-length shards plus the framing needed to
@@ -120,6 +121,61 @@ impl Striper {
         }
         Ok(value)
     }
+
+    /// The value's bytes as its `k` data shards, in order, each cut to the
+    /// part of the value it holds (padding dropped), so concatenating them
+    /// yields the original `original_len` bytes.
+    ///
+    /// `present` holds `(index, shard)` survivors. Data shards among them
+    /// are borrowed; only missing data shards are recovered (owned), via
+    /// [`ErasureCodec::recover`]. No parity is derived and nothing is
+    /// joined, so a reader can digest the value shard by shard.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ErasureError::TooManyErasures`] when fewer than `k` shards
+    /// survive, or a shape error on malformed input.
+    pub fn data_shards<'a>(
+        &self,
+        present: &[(usize, &'a [u8])],
+        original_len: usize,
+    ) -> Result<Vec<Cow<'a, [u8]>>, ErasureError> {
+        let k = self.codec.data_shards();
+        let shard_len = check_recover_shape(
+            k,
+            self.codec.parity_shards(),
+            self.codec.shard_alignment(),
+            present,
+            &[],
+        )?;
+        let mut data: Vec<Option<Cow<'a, [u8]>>> = vec![None; k];
+        for &(i, s) in present {
+            if i < k {
+                data[i] = Some(Cow::Borrowed(s));
+            }
+        }
+        let missing: Vec<usize> = (0..k).filter(|&i| data[i].is_none()).collect();
+        if !missing.is_empty() {
+            let recovered = self.codec.recover(present, &missing)?;
+            for (i, buf) in missing.into_iter().zip(recovered) {
+                data[i] = Some(Cow::Owned(buf));
+            }
+        }
+        Ok(data
+            .into_iter()
+            .enumerate()
+            .map(|(i, shard)| {
+                let take = original_len.saturating_sub(i * shard_len).min(shard_len);
+                match shard.expect("every data shard is present or recovered") {
+                    Cow::Borrowed(s) => Cow::Borrowed(&s[..take]),
+                    Cow::Owned(mut v) => {
+                        v.truncate(take);
+                        Cow::Owned(v)
+                    }
+                }
+            })
+            .collect())
+    }
 }
 
 impl From<Box<dyn ErasureCodec>> for Striper {
@@ -205,6 +261,41 @@ mod tests {
         shards[2] = None;
         assert!(matches!(
             s.decode_value(&mut shards, stripe.original_len),
+            Err(ErasureError::TooManyErasures { .. })
+        ));
+    }
+
+    #[test]
+    fn data_shards_borrow_survivors_and_recover_the_rest() {
+        for kind in CodecKind::ALL {
+            let s = striper(kind);
+            for len in [0usize, 1, 100, 10_000] {
+                let value: Vec<u8> = (0..len).map(|i| (i * 29 + 3) as u8).collect();
+                let stripe = s.encode_value(&value);
+                for lost in [vec![], vec![0], vec![1, 3], vec![0, 2], vec![3, 4]] {
+                    let present: Vec<(usize, &[u8])> = (0..5)
+                        .filter(|i| !lost.contains(i))
+                        .map(|i| (i, stripe.shards[i].as_slice()))
+                        .collect();
+                    let data = s.data_shards(&present, len).unwrap();
+                    assert_eq!(data.len(), 3);
+                    assert_eq!(data.concat(), value, "{kind} len={len} lost {lost:?}");
+                    for (i, shard) in data.iter().enumerate() {
+                        let borrowed = matches!(shard, Cow::Borrowed(_));
+                        assert_eq!(borrowed, !lost.contains(&i), "{kind} shard {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn data_shards_fail_cleanly_beyond_m_erasures() {
+        let s = striper(CodecKind::RsVan);
+        let stripe = s.encode_value(&[1, 2, 3, 4, 5]);
+        let present: Vec<(usize, &[u8])> = vec![(3, &stripe.shards[3]), (4, &stripe.shards[4])];
+        assert!(matches!(
+            s.data_shards(&present, 5),
             Err(ErasureError::TooManyErasures { .. })
         ));
     }

@@ -50,7 +50,7 @@ mod store_node;
 
 pub use cluster::{ClusterConfig, KvCluster};
 pub use hashring::{HashRing, PlacementError, VShardMap, VShardMove};
-pub use payload::{fnv1a_64, Bytes, Payload};
+pub use payload::{fnv1a_64, value_digest, Bytes, Payload, ValueHasher};
 pub use server::{AdmissionCaps, KvServer, ServerCosts};
 pub use slab::{chunk_size_for, SlabConfig, ITEM_OVERHEAD};
 pub use ssd::{SsdSpec, SsdTier};

@@ -73,14 +73,17 @@ pub fn load_ops(cfg: &YcsbConfig) -> Vec<Vec<Op>> {
 /// Zipfian-skewed keys.
 pub fn run_ops(cfg: &YcsbConfig) -> Vec<Vec<Op>> {
     let mut root = SimRng::seed_from_u64(cfg.seed);
+    // Building a generator sums zeta over every record: do it once and
+    // hand each client a clone.
+    let template = if cfg.workload == Workload::D {
+        KeyChooser::Latest(Latest::new(cfg.record_count))
+    } else {
+        KeyChooser::Zipfian(ScrambledZipfian::new(cfg.record_count))
+    };
     (0..cfg.clients)
         .map(|c| {
             let mut rng = root.fork();
-            let mut chooser = if cfg.workload == Workload::D {
-                KeyChooser::Latest(Latest::new(cfg.record_count))
-            } else {
-                KeyChooser::Zipfian(ScrambledZipfian::new(cfg.record_count))
-            };
+            let mut chooser = template.clone();
             // Workload D inserts new records; each client gets a disjoint
             // id range above the loaded set.
             let mut next_insert = cfg.record_count + c as u64 * cfg.ops_per_client;

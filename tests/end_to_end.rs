@@ -61,6 +61,66 @@ fn mixed_value_sizes_roundtrip() {
     assert_eq!(m.integrity_errors, 0);
 }
 
+/// The server storing shard `shard` of `key`.
+fn holder_of(world: &World, key: &str, shard: usize) -> usize {
+    let shard_key = format!("{key}.s{shard}");
+    world
+        .cluster
+        .servers
+        .iter()
+        .position(|srv| srv.borrow().store().contains(&shard_key))
+        .unwrap_or_else(|| panic!("no server holds {shard_key}"))
+}
+
+/// Replaces the stored shard `shard` of `key` with a copy that has one
+/// byte flipped, through the `StoreNode` API.
+fn flip_stored_chunk_byte(world: &World, key: &str, shard: usize) {
+    let shard_key = format!("{key}.s{shard}");
+    let mut server = world.cluster.servers[holder_of(world, key, shard)].borrow_mut();
+    let Some(Payload::Inline(bytes)) = server.store().peek(&shard_key) else {
+        panic!("{shard_key} is not inline");
+    };
+    let mut corrupt = bytes.to_vec();
+    let mid = corrupt.len() / 2;
+    corrupt[mid] ^= 0x40;
+    server
+        .store_mut()
+        .set(shard_key.into(), Payload::inline(corrupt));
+}
+
+#[test]
+fn corrupted_inline_chunk_is_detected() {
+    // Era-CE-CD RS(3,2), validation on. A healthy read fetches data
+    // shards 0..3; with shard 0's holder dead a degraded read decodes from
+    // shards 1, 2 and parity 3. A flipped byte in any chunk the read uses
+    // must surface as exactly one integrity error.
+    let value: Vec<u8> = (0..10_000u32).map(|i| (i * 7 % 251) as u8).collect();
+    for (corrupt, kill_holder_of_shard0) in [
+        (None, false),
+        (Some(0), false),
+        (None, true),
+        (Some(3), true),
+    ] {
+        let world = world_for(Scheme::era_ce_cd(3, 2));
+        assert!(world.cfg.validate);
+        let mut sim = Simulation::new();
+        let writes = vec![Op::set_inline("victim", value.clone())];
+        eckv::core::driver::run_workload(&world, &mut sim, vec![writes]);
+        if let Some(shard) = corrupt {
+            flip_stored_chunk_byte(&world, "victim", shard);
+        }
+        if kill_holder_of_shard0 {
+            world.cluster.kill_server(holder_of(&world, "victim", 0));
+        }
+        world.reset_metrics();
+        eckv::core::driver::run_workload(&world, &mut sim, vec![vec![Op::get("victim")]]);
+        let m = world.metrics.borrow();
+        let case = format!("corrupt {corrupt:?}, shard 0 holder dead: {kill_holder_of_shard0}");
+        assert_eq!(m.get_count, 1, "{case}");
+        assert_eq!(m.integrity_errors, u64::from(corrupt.is_some()), "{case}");
+    }
+}
+
 #[test]
 fn two_clients_do_not_corrupt_each_other() {
     let world = world_for(Scheme::era_se_cd(3, 2));
