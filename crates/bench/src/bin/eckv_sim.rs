@@ -433,7 +433,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--ssd" => a.ssd = Some(parse_size(value(i)?)?),
             "--help" | "-h" => {
-                println!("see the module docs at the top of eckv_sim.rs for usage");
+                print!("{}", usage());
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag '{other}'")),
@@ -441,6 +441,17 @@ fn parse_args() -> Result<Args, String> {
         i += 2;
     }
     Ok(a)
+}
+
+/// The `--help` text: this file's module docs (the usage synopsis, every
+/// flag's description and the examples), so the two cannot drift apart.
+fn usage() -> String {
+    include_str!("eckv_sim.rs")
+        .lines()
+        .map_while(|l| l.strip_prefix("//!"))
+        .filter(|l| !l.starts_with(" ```"))
+        .map(|l| format!("{}\n", l.strip_prefix(' ').unwrap_or(l)))
+        .collect()
 }
 
 fn scheme_of(a: &Args) -> Result<Scheme, String> {
@@ -461,7 +472,7 @@ fn scheme_of(a: &Args) -> Result<Scheme, String> {
     })
 }
 
-fn print_report(world: &Rc<World>) {
+fn print_report(world: &Rc<World>, now: eckv_simnet::SimTime) {
     let m = world.metrics.borrow();
     println!("\n== results ==");
     println!("ops completed     : {}", m.ops());
@@ -521,14 +532,19 @@ fn print_report(world: &Rc<World>) {
         mem.pct_used(),
         mem.evictions,
     );
-    let span = world.metrics.borrow().elapsed().as_secs_f64();
+    // Sets, hits, misses and NIC busy time cover the measured window. NIC
+    // busy time is divided by the simulated time it accrued in: from the
+    // window's first admission to the end of the run, which includes
+    // background work (a rebuild, hedge losers queued on a straggler)
+    // that outlives the last op.
+    let span = world
+        .metrics
+        .borrow()
+        .started_at
+        .map_or(0.0, |s| now.since(s).as_secs_f64());
     for (i, srv) in world.cluster.servers.iter().enumerate() {
-        let st = srv.borrow().stats();
-        let (tx, rx) = world
-            .cluster
-            .net
-            .borrow()
-            .nic_busy(world.cluster.server_node(i));
+        let items = srv.borrow().stats().items;
+        let w = world.server_window(i);
         let pct = |d: eckv_simnet::SimDuration| {
             if span > 0.0 {
                 100.0 * d.as_secs_f64() / span
@@ -538,12 +554,12 @@ fn print_report(world: &Rc<World>) {
         };
         println!(
             "  server {i}: {} items, {} sets, {} hits, {} misses, nic tx {:.0}% rx {:.0}%{}",
-            st.items,
-            st.sets,
-            st.hits,
-            st.misses,
-            pct(tx),
-            pct(rx),
+            items,
+            w.sets,
+            w.hits,
+            w.misses,
+            pct(w.nic_tx_busy),
+            pct(w.nic_rx_busy),
             if world.cluster.is_server_alive(i) {
                 ""
             } else {
@@ -741,7 +757,7 @@ fn main() {
                 .collect();
             driver::run_workload(&world, &mut sim, writes);
             println!("\n== write phase ==");
-            print_report(&world);
+            print_report(&world, sim.now());
 
             for &k in &args.kill {
                 world.cluster.kill_server(k);
@@ -793,7 +809,7 @@ fn main() {
                 driver::run_workload(&world, &mut sim, reads);
                 println!("\n== read phase ==");
             }
-            print_report(&world);
+            print_report(&world, sim.now());
         }
         w @ ("ycsb-a" | "ycsb-b" | "ycsb-c" | "ycsb-d") => {
             let workload = match w {
@@ -816,7 +832,7 @@ fn main() {
             println!("read latency      : {}", report.read_latency);
             println!("write latency     : {}", report.write_latency);
             println!("errors            : {}", report.errors);
-            print_report(&world);
+            print_report(&world, sim.now());
         }
         other => {
             eprintln!("error: unknown workload '{other}'");
@@ -868,5 +884,20 @@ fn main() {
                 Err(e) => eprintln!("failed to write {path}: {e}"),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn help_is_the_module_docs_synopsis_first() {
+        let text = usage();
+        let synopsis = text.lines().nth(3).expect("synopsis line");
+        assert!(synopsis.starts_with("eckv-sim [--scheme "), "{synopsis}");
+        assert!(text.contains("* `--explain-tail` — record causal spans"));
+        assert!(!text.contains("```"), "code fences are stripped");
+        assert!(!text.contains("use std::"), "stops at the end of the docs");
     }
 }

@@ -403,6 +403,26 @@ pub struct World {
     pub(crate) repair: RefCell<Option<crate::repair::OnlineRepair>>,
     /// Report of the most recently completed repair.
     pub(crate) last_repair: std::cell::Cell<Option<crate::repair::RepairReport>>,
+    /// Every server's running totals at the last
+    /// [`World::reset_metrics`], so [`World::server_window`] reports the
+    /// measured window alone (empty until the first reset).
+    window_base: RefCell<Vec<ServerWindow>>,
+}
+
+/// One server's activity over the measured window: since the last
+/// [`World::reset_metrics`], or since the start when never reset.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerWindow {
+    /// Sets processed.
+    pub sets: u64,
+    /// Get hits.
+    pub hits: u64,
+    /// Get misses.
+    pub misses: u64,
+    /// Time the server's tx NIC spent serializing.
+    pub nic_tx_busy: SimDuration,
+    /// Time the server's rx NIC spent serializing.
+    pub nic_rx_busy: SimDuration,
 }
 
 impl World {
@@ -468,6 +488,7 @@ impl World {
             trace,
             repair: RefCell::new(None),
             last_repair: std::cell::Cell::new(None),
+            window_base: RefCell::new(Vec::new()),
         })
     }
 
@@ -491,13 +512,56 @@ impl World {
     }
 
     /// Resets run metrics (e.g. between a load phase and a run phase),
-    /// preserving the timeline-recording setting.
+    /// preserving the timeline-recording setting, and starts a new
+    /// [`World::server_window`].
     pub fn reset_metrics(&self) {
         let mut fresh = Metrics::default();
         if self.cfg.record_timeline {
             fresh.timeline = Some(Vec::new());
         }
         *self.metrics.borrow_mut() = fresh;
+        let totals = (0..self.cluster.servers.len())
+            .map(|i| self.server_totals(i))
+            .collect();
+        *self.window_base.borrow_mut() = totals;
+    }
+
+    /// Server `i`'s activity since the last [`World::reset_metrics`]. For
+    /// a NIC utilisation, divide its busy time by the simulated time the
+    /// window ran for, through the end of any background work:
+    /// [`Metrics::elapsed`] stops at the last op's completion.
+    pub fn server_window(&self, i: usize) -> ServerWindow {
+        let now = self.server_totals(i);
+        let base = self
+            .window_base
+            .borrow()
+            .get(i)
+            .copied()
+            .unwrap_or_default();
+        ServerWindow {
+            sets: now.sets - base.sets,
+            hits: now.hits - base.hits,
+            misses: now.misses - base.misses,
+            nic_tx_busy: now.nic_tx_busy - base.nic_tx_busy,
+            nic_rx_busy: now.nic_rx_busy - base.nic_rx_busy,
+        }
+    }
+
+    /// Server `i`'s running totals since it was built.
+    fn server_totals(&self, i: usize) -> ServerWindow {
+        let st = self.cluster.servers[i].borrow().stats();
+        let (tx, rx) = self
+            .cluster
+            .net
+            .borrow()
+            .nic_busy(self.cluster.server_node(i));
+        ServerWindow {
+            sets: st.sets,
+            hits: st.hits,
+            misses: st.misses,
+            nic_tx_busy: tx,
+            nic_rx_busy: rx,
+        }
     }
 
     /// Adjusts the per-op application think time for subsequent phases.

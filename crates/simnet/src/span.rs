@@ -22,7 +22,7 @@
 //! events, so enabling spans leaves the JSONL/CSV event stream
 //! byte-identical.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::net::NodeId;
 use crate::time::{SimDuration, SimTime};
@@ -135,7 +135,7 @@ struct LiveOp {
 }
 
 /// Critical-path attribution of one completed operation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpAttribution {
     /// Operation class.
     pub class: SpanOpClass,
@@ -162,7 +162,7 @@ impl OpAttribution {
 
 /// A retained slowest-op record: the raw span tree, kept for Perfetto
 /// export.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlowOp {
     /// Span-layer op id.
     pub op: u64,
@@ -188,7 +188,12 @@ const OP_TRACK: u64 = 1_000_000;
 pub struct SpanCollector {
     scope: Option<u64>,
     next_op: u64,
-    live: BTreeMap<u64, LiveOp>,
+    /// In-flight trees in dense slots: op ids come from a counter, so op
+    /// `base + i` lives at `live[i]` (`None` once ended). Ended slots are
+    /// popped from the front, so the window spans the oldest live op to
+    /// the newest.
+    live: VecDeque<Option<LiveOp>>,
+    base: u64,
     done: Vec<OpAttribution>,
     slowest: Vec<SlowOp>,
     keep_slowest: usize,
@@ -220,15 +225,19 @@ impl SpanCollector {
     pub fn begin_op(&mut self, class: SpanOpClass, at: SimTime) -> u64 {
         let op = self.next_op;
         self.next_op += 1;
-        self.live.insert(
-            op,
-            LiveOp {
-                class,
-                start: at,
-                spans: Vec::new(),
-            },
-        );
+        self.live.push_back(Some(LiveOp {
+            class,
+            start: at,
+            spans: Vec::new(),
+        }));
         op
+    }
+
+    /// The slot of `op`: `Some(None)` once it has ended and its slot is
+    /// still in the window, `None` when it is unknown or long gone.
+    fn slot(&mut self, op: u64) -> Option<&mut Option<LiveOp>> {
+        let i = usize::try_from(op.checked_sub(self.base)?).ok()?;
+        self.live.get_mut(i)
     }
 
     /// Records a span on the ambient scope's tree (no-op when no scope
@@ -253,7 +262,7 @@ impl SpanCollector {
         if start >= end {
             return;
         }
-        if let Some(live) = self.live.get_mut(&op) {
+        if let Some(Some(live)) = self.slot(op) {
             live.spans.push(Span {
                 phase,
                 node,
@@ -267,36 +276,45 @@ impl SpanCollector {
     /// stores the attribution (plus the raw tree if the op ranks among
     /// the slowest retained).
     pub fn end_op(&mut self, op: u64, at: SimTime, ok: bool) {
-        let Some(live) = self.live.remove(&op) else {
+        let Some(live) = self.slot(op).and_then(Option::take) else {
             return;
         };
+        while let Some(None) = self.live.front() {
+            self.live.pop_front();
+            self.base += 1;
+        }
         let end = at.max(live.start);
+        let latency = end.since(live.start);
         let (phases, other_ns) = critical_path(live.start, end, &live.spans);
         self.done.push(OpAttribution {
             class: live.class,
             start: live.start,
-            latency: end.since(live.start),
+            latency,
             ok,
             phases,
             other_ns,
         });
-        if self.keep_slowest > 0 {
-            self.slowest.push(SlowOp {
+        // `slowest` stays sorted slowest first, ties by op id: reject an
+        // op no slower than the K-th outright, else insert in place.
+        let slower = |s: &SlowOp| {
+            let l = s.end.since(s.start);
+            l > latency || (l == latency && s.op < op)
+        };
+        if self.slowest.len() == self.keep_slowest && self.slowest.last().is_none_or(slower) {
+            return;
+        }
+        let pos = self.slowest.partition_point(slower);
+        self.slowest.insert(
+            pos,
+            SlowOp {
                 op,
                 class: live.class,
                 start: live.start,
                 end,
                 spans: live.spans,
-            });
-            self.slowest.sort_by(|a, b| {
-                b.end
-                    .since(b.start)
-                    .as_nanos()
-                    .cmp(&a.end.since(a.start).as_nanos())
-                    .then(a.op.cmp(&b.op))
-            });
-            self.slowest.truncate(self.keep_slowest);
-        }
+            },
+        );
+        self.slowest.truncate(self.keep_slowest);
     }
 
     /// Attributions of every completed op, in completion order.
@@ -479,7 +497,8 @@ fn push_event(
 /// the returned `other` nanoseconds. Attributed + other always equals
 /// `t1 - t0`.
 fn critical_path(t0: SimTime, t1: SimTime, spans: &[Span]) -> (Vec<(SpanPhase, usize, u64)>, u64) {
-    let mut acc: BTreeMap<(SpanPhase, usize), u64> = BTreeMap::new();
+    // One entry per critical-path step; merged per `(phase, node)` below.
+    let mut acc: Vec<(SpanPhase, usize, u64)> = Vec::new();
     let mut other = 0u64;
     let mut cursor = t1;
     while cursor > t0 {
@@ -509,16 +528,23 @@ fn critical_path(t0: SimTime, t1: SimTime, spans: &[Span]) -> (Vec<(SpanPhase, u
             other += cursor.since(s.end).as_nanos();
         }
         let lo = s.start.max(t0);
-        *acc.entry((s.phase, s.node.0)).or_insert(0) += s.end.since(lo).as_nanos();
+        acc.push((s.phase, s.node.0, s.end.since(lo).as_nanos()));
         if s.start <= t0 {
             break;
         }
         cursor = s.start;
     }
-    (
-        acc.into_iter().map(|((p, n), ns)| (p, n, ns)).collect(),
-        other,
-    )
+    acc.sort_unstable_by_key(|&(p, n, _)| (p, n));
+    acc.dedup_by(|next, kept| {
+        let same = (next.0, next.1) == (kept.0, kept.1);
+        if same {
+            kept.2 += next.2;
+        }
+        same
+    });
+    // Every completed op keeps its attribution, so store an exact-size
+    // copy: shrinking `acc` in place leaves a heap hole per op instead.
+    (acc.to_vec(), other)
 }
 
 #[cfg(test)]
@@ -620,6 +646,247 @@ mod tests {
         c.record(SpanPhase::Encode, NodeId(3), t(7), t(9));
         c.end_op(op, t(7), true);
         assert_eq!(c.attributions()[0].attributed_ns(), 7);
+    }
+
+    /// The `BTreeMap` critical-path walk the `Vec` accumulator replaced.
+    fn reference_critical_path(
+        t0: SimTime,
+        t1: SimTime,
+        spans: &[Span],
+    ) -> (Vec<(SpanPhase, usize, u64)>, u64) {
+        let mut acc: BTreeMap<(SpanPhase, usize), u64> = BTreeMap::new();
+        let mut other = 0u64;
+        let mut cursor = t1;
+        while cursor > t0 {
+            let mut best: Option<usize> = None;
+            for (i, s) in spans.iter().enumerate() {
+                if s.end > cursor || s.end <= t0 || s.start >= s.end {
+                    continue;
+                }
+                match best {
+                    None => best = Some(i),
+                    Some(b) => {
+                        let sb = &spans[b];
+                        if s.end > sb.end || (s.end == sb.end && s.start < sb.start) {
+                            best = Some(i);
+                        }
+                    }
+                }
+            }
+            let Some(b) = best else {
+                other += cursor.since(t0).as_nanos();
+                break;
+            };
+            let s = &spans[b];
+            if s.end < cursor {
+                other += cursor.since(s.end).as_nanos();
+            }
+            let lo = s.start.max(t0);
+            *acc.entry((s.phase, s.node.0)).or_insert(0) += s.end.since(lo).as_nanos();
+            if s.start <= t0 {
+                break;
+            }
+            cursor = s.start;
+        }
+        (
+            acc.into_iter().map(|((p, n), ns)| (p, n, ns)).collect(),
+            other,
+        )
+    }
+
+    /// The collector the dense slots, the sorted insert and the `Vec`
+    /// walk replaced: a `BTreeMap` of live trees, push + full sort +
+    /// truncate of the slowest list.
+    #[derive(Default)]
+    struct ReferenceCollector {
+        next_op: u64,
+        live: BTreeMap<u64, LiveOp>,
+        done: Vec<OpAttribution>,
+        slowest: Vec<SlowOp>,
+        keep_slowest: usize,
+    }
+
+    impl ReferenceCollector {
+        fn begin_op(&mut self, class: SpanOpClass, at: SimTime) -> u64 {
+            let op = self.next_op;
+            self.next_op += 1;
+            self.live.insert(
+                op,
+                LiveOp {
+                    class,
+                    start: at,
+                    spans: Vec::new(),
+                },
+            );
+            op
+        }
+
+        fn record_for(
+            &mut self,
+            op: u64,
+            phase: SpanPhase,
+            node: NodeId,
+            start: SimTime,
+            end: SimTime,
+        ) {
+            if start >= end {
+                return;
+            }
+            if let Some(live) = self.live.get_mut(&op) {
+                live.spans.push(Span {
+                    phase,
+                    node,
+                    start,
+                    end,
+                });
+            }
+        }
+
+        fn end_op(&mut self, op: u64, at: SimTime, ok: bool) {
+            let Some(live) = self.live.remove(&op) else {
+                return;
+            };
+            let end = at.max(live.start);
+            let (phases, other_ns) = reference_critical_path(live.start, end, &live.spans);
+            self.done.push(OpAttribution {
+                class: live.class,
+                start: live.start,
+                latency: end.since(live.start),
+                ok,
+                phases,
+                other_ns,
+            });
+            if self.keep_slowest > 0 {
+                self.slowest.push(SlowOp {
+                    op,
+                    class: live.class,
+                    start: live.start,
+                    end,
+                    spans: live.spans,
+                });
+                self.slowest.sort_by(|a, b| {
+                    b.end
+                        .since(b.start)
+                        .as_nanos()
+                        .cmp(&a.end.since(a.start).as_nanos())
+                        .then(a.op.cmp(&b.op))
+                });
+                self.slowest.truncate(self.keep_slowest);
+            }
+        }
+    }
+
+    /// Drives both collectors through one seeded stream: ops begin, take
+    /// spans on a coarse time grid (so latencies and span ends tie
+    /// often), end out of order, and keep receiving records after they
+    /// ended, plus records and ends for ids that never existed.
+    fn drive_both(seed: u64, keep: usize) -> (SpanCollector, ReferenceCollector) {
+        use crate::rng::SimRng;
+        let phases = [
+            SpanPhase::Tx,
+            SpanPhase::Rx,
+            SpanPhase::Propagate,
+            SpanPhase::SrvCpu,
+            SpanPhase::Decode,
+        ];
+        let classes = [SpanOpClass::Get, SpanOpClass::Set, SpanOpClass::Repair];
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut got = SpanCollector::new(keep);
+        let mut want = ReferenceCollector {
+            keep_slowest: keep,
+            ..Default::default()
+        };
+        let mut open: Vec<(u64, u64)> = Vec::new();
+        let mut ended: Vec<u64> = Vec::new();
+        let mut now = 0u64;
+        for _ in 0..3_000 {
+            now += rng.next_below(3) * 10;
+            match rng.next_below(10) {
+                0..=2 => {
+                    let class = classes[rng.index(classes.len())];
+                    let a = got.begin_op(class, t(now));
+                    let b = want.begin_op(class, t(now));
+                    assert_eq!(a, b);
+                    open.push((a, now));
+                }
+                3..=6 if !open.is_empty() => {
+                    let (op, start) = open[rng.index(open.len())];
+                    let lo = start + rng.next_below(4) * 10;
+                    let hi = lo + rng.next_below(4) * 10;
+                    let phase = phases[rng.index(phases.len())];
+                    let node = NodeId(rng.index(3));
+                    got.record_for(op, phase, node, t(lo), t(hi));
+                    want.record_for(op, phase, node, t(lo), t(hi));
+                }
+                7..=8 if !open.is_empty() => {
+                    let (op, start) = open.swap_remove(rng.index(open.len()));
+                    // Sometimes before the op's own start: clamped.
+                    let at = (start + rng.next_below(5) * 10).saturating_sub(10);
+                    let ok = rng.next_below(4) != 0;
+                    got.end_op(op, t(at), ok);
+                    want.end_op(op, t(at), ok);
+                    ended.push(op);
+                }
+                _ => {
+                    // Ended or never-issued ids must stay ignored.
+                    let op = match ended.len() {
+                        0 => got.next_op + 5,
+                        n => ended[rng.index(n)],
+                    };
+                    let op = if rng.next_below(2) == 0 {
+                        op
+                    } else {
+                        got.next_op + op
+                    };
+                    got.record_for(op, SpanPhase::Rx, NodeId(0), t(0), t(now + 10));
+                    want.record_for(op, SpanPhase::Rx, NodeId(0), t(0), t(now + 10));
+                    got.end_op(op, t(now), true);
+                    want.end_op(op, t(now), true);
+                }
+            }
+        }
+        (got, want)
+    }
+
+    #[test]
+    fn collector_matches_the_btreemap_sort_truncate_reference() {
+        for keep in [0, 1, 50] {
+            for seed in 0..6 {
+                let (got, want) = drive_both(seed, keep);
+                assert!(got.ops_completed() > 100);
+                assert_eq!(
+                    got.attributions(),
+                    &want.done[..],
+                    "seed {seed} keep {keep}"
+                );
+                assert_eq!(got.slowest(), &want.slowest[..], "seed {seed} keep {keep}");
+                assert_eq!(got.slowest().len(), keep.min(got.ops_completed()));
+            }
+        }
+    }
+
+    #[test]
+    fn critical_path_matches_the_btreemap_walk() {
+        use crate::rng::SimRng;
+        let mut rng = SimRng::seed_from_u64(7);
+        for _ in 0..2_000 {
+            let n = rng.index(12);
+            let spans: Vec<Span> = (0..n)
+                .map(|_| {
+                    let start = rng.next_below(10) * 10;
+                    let end = start + rng.next_below(5) * 10;
+                    let phase = [SpanPhase::Tx, SpanPhase::Rx, SpanPhase::SrvCpu][rng.index(3)];
+                    span(phase, rng.index(3), start, end)
+                })
+                .collect();
+            let t0 = t(rng.next_below(4) * 10);
+            let t1 = t(t0.as_nanos() + rng.next_below(12) * 10);
+            assert_eq!(
+                critical_path(t0, t1, &spans),
+                reference_critical_path(t0, t1, &spans),
+                "{spans:?}"
+            );
+        }
     }
 
     #[test]

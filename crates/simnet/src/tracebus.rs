@@ -11,8 +11,9 @@
 //!
 //! Determinism is a hard requirement: events carry only virtual timestamps
 //! and a monotonically increasing sequence number, sinks buffer into
-//! in-memory strings, and the counter registry is a `BTreeMap` — so two
-//! runs with identical seeds produce byte-identical exports.
+//! in-memory strings, and the counter registry is read back sorted by
+//! `(node, name)` — so two runs with identical seeds produce
+//! byte-identical exports.
 //!
 //! # Example
 //!
@@ -33,7 +34,7 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
@@ -617,35 +618,45 @@ impl TraceRecord {
 
     /// Appends this record to `out` as one JSONL line (newline included).
     pub fn write_jsonl(&self, out: &mut String) {
-        use fmt::Write;
         let f = self.flat();
-        let _ = write!(
-            out,
-            "{{\"at_ns\":{},\"seq\":{},\"event\":",
-            self.at.as_nanos(),
-            self.seq
-        );
-        escape_json_into(self.event.name(), out);
+        let mut line = LineBuf::new();
+        line.push(b"{\"at_ns\":");
+        line.push_u64(self.at.as_nanos());
+        line.push(b",\"seq\":");
+        line.push_u64(self.seq);
+        line.push(b",\"event\":\"");
+        line.push(self.event.name().as_bytes());
+        line.push(b"\"");
         if let Some(n) = f.node {
-            let _ = write!(out, ",\"node\":{}", n.0);
+            line.push(b",\"node\":");
+            line.push_u64(n.0 as u64);
         }
         if let Some(p) = f.peer {
-            let _ = write!(out, ",\"peer\":{}", p.0);
+            line.push(b",\"peer\":");
+            line.push_u64(p.0 as u64);
         }
         if let Some(k) = f.kind {
-            out.push_str(",\"kind\":");
-            escape_json_into(k, out);
+            line.push(b",\"kind\":\"");
+            line.push(k.as_bytes());
+            line.push(b"\"");
         }
         if let Some(b) = f.bytes {
-            let _ = write!(out, ",\"bytes\":{b}");
+            line.push(b",\"bytes\":");
+            line.push_u64(b);
         }
         if let Some(d) = f.dur_ns {
-            let _ = write!(out, ",\"dur_ns\":{d}");
+            line.push(b",\"dur_ns\":");
+            line.push_u64(d);
         }
         if let Some(ok) = f.ok {
-            let _ = write!(out, ",\"ok\":{ok}");
+            line.push(if ok {
+                b",\"ok\":true"
+            } else {
+                b",\"ok\":false"
+            });
         }
-        out.push_str("}\n");
+        line.push(b"}\n");
+        out.push_str(line.as_str());
     }
 
     /// The header row matching [`TraceRecord::write_csv`].
@@ -654,52 +665,97 @@ impl TraceRecord {
     /// Appends this record to `out` as one CSV row (newline included);
     /// inapplicable columns are left empty.
     pub fn write_csv(&self, out: &mut String) {
-        use fmt::Write;
         let f = self.flat();
-        let _ = write!(
-            out,
-            "{},{},{}",
-            self.at.as_nanos(),
-            self.seq,
-            self.event.name()
-        );
-        match f.node {
-            Some(n) => {
-                let _ = write!(out, ",{}", n.0);
-            }
-            None => out.push(','),
+        let mut line = LineBuf::new();
+        line.push_u64(self.at.as_nanos());
+        line.push(b",");
+        line.push_u64(self.seq);
+        line.push(b",");
+        line.push(self.event.name().as_bytes());
+        line.push(b",");
+        if let Some(n) = f.node {
+            line.push_u64(n.0 as u64);
         }
-        match f.peer {
-            Some(p) => {
-                let _ = write!(out, ",{}", p.0);
-            }
-            None => out.push(','),
+        line.push(b",");
+        if let Some(p) = f.peer {
+            line.push_u64(p.0 as u64);
         }
-        match f.kind {
-            Some(k) => {
-                let _ = write!(out, ",{k}");
-            }
-            None => out.push(','),
+        line.push(b",");
+        if let Some(k) = f.kind {
+            line.push(k.as_bytes());
         }
-        match f.bytes {
-            Some(b) => {
-                let _ = write!(out, ",{b}");
-            }
-            None => out.push(','),
+        line.push(b",");
+        if let Some(b) = f.bytes {
+            line.push_u64(b);
         }
-        match f.dur_ns {
-            Some(d) => {
-                let _ = write!(out, ",{d}");
-            }
-            None => out.push(','),
+        line.push(b",");
+        if let Some(d) = f.dur_ns {
+            line.push_u64(d);
         }
-        match f.ok {
-            Some(ok) => {
-                let _ = write!(out, ",{ok}");
-            }
-            None => out.push(','),
+        line.push(b",");
+        if let Some(ok) = f.ok {
+            line.push(if ok { b"true" } else { b"false" });
         }
-        out.push('\n');
+        line.push(b"\n");
+        out.push_str(line.as_str());
+    }
+}
+
+/// Two ASCII digits for every value in `0..100`, so integers are rendered
+/// two digits per division.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// One export line assembled on the stack, then appended to the sink's
+/// buffer with a single `push_str`. The longest line — every JSONL field
+/// present, every integer at `u64::MAX` — is 230 bytes.
+struct LineBuf {
+    buf: [u8; 256],
+    len: usize,
+}
+
+impl LineBuf {
+    fn new() -> Self {
+        LineBuf {
+            buf: [0; 256],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        let end = self.len + bytes.len();
+        self.buf[self.len..end].copy_from_slice(bytes);
+        self.len = end;
+    }
+
+    /// Appends `n` in decimal, written in place from its last digit.
+    fn push_u64(&mut self, mut n: u64) {
+        let len = n.checked_ilog10().map_or(1, |l| l as usize + 1);
+        let digits = &mut self.buf[self.len..self.len + len];
+        let mut at = len;
+        while n >= 100 {
+            let pair = (n % 100) as usize * 2;
+            n /= 100;
+            at -= 2;
+            digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        if n >= 10 {
+            let pair = n as usize * 2;
+            digits[..2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
+            digits[0] = b'0' + n as u8;
+        }
+        self.len += len;
+    }
+
+    fn as_str(&self) -> &str {
+        // Only ASCII is ever pushed: digits, punctuation and the static
+        // event and kind names (a test pins those to plain ASCII).
+        std::str::from_utf8(&self.buf[..self.len]).expect("export lines are ASCII")
     }
 }
 
@@ -765,6 +821,23 @@ impl TraceSink for RingBufferSink {
     }
 }
 
+/// Initial capacity of the JSONL and CSV sink buffers: above glibc's
+/// largest dynamic `mmap` threshold (32 MiB), so the buffer is mapped from
+/// the start and each doubling is an `mremap` instead of a heap copy that
+/// leaves the old buffer resident. Untouched pages cost address space
+/// only. Growing from a small heap buffer instead made peak RSS depend on
+/// the length of the first line pushed (see EXPERIMENTS.md).
+const SINK_CAPACITY: usize = 64 << 20;
+
+/// An empty sink buffer holding just `header` lines.
+fn sink_buffer(header: &[&str]) -> String {
+    let mut out = String::with_capacity(SINK_CAPACITY);
+    for h in header {
+        out.push_str(h);
+    }
+    out
+}
+
 /// Buffers the trace as JSON Lines text (one object per event, preceded
 /// by a schema-version header line). The caller writes
 /// [`JsonlSink::contents`] to a file after the run — keeping file I/O out
@@ -785,7 +858,7 @@ impl JsonlSink {
     /// Creates a sink holding just the schema-version header line.
     pub fn new() -> Self {
         JsonlSink {
-            out: JSONL_SCHEMA_HEADER.to_string(),
+            out: sink_buffer(&[JSONL_SCHEMA_HEADER]),
             events: 0,
         }
     }
@@ -826,7 +899,7 @@ impl CsvSink {
     /// Creates a sink holding the schema line and the column header row.
     pub fn new() -> Self {
         CsvSink {
-            out: format!("{CSV_SCHEMA_HEADER}{}", TraceRecord::CSV_HEADER),
+            out: sink_buffer(&[CSV_SCHEMA_HEADER, TraceRecord::CSV_HEADER]),
             events: 0,
         }
     }
@@ -855,7 +928,11 @@ impl TraceSink for CsvSink {
 pub struct TraceBus {
     seq: u64,
     sinks: Vec<Rc<RefCell<dyn TraceSink>>>,
-    counters: BTreeMap<(usize, &'static str), u64>,
+    /// `counters[node]` holds that node's `(name, value)` pairs in
+    /// first-use order. A node touches a handful of names, so a lookup is
+    /// a short scan comparing pointers first (call sites pass literals)
+    /// and contents only on a miss; [`TraceBus::counters`] sorts on read.
+    counters: Vec<Vec<(&'static str, u64)>>,
     series: Option<TimeSeries>,
     spans: Option<SpanCollector>,
 }
@@ -865,7 +942,10 @@ impl fmt::Debug for TraceBus {
         f.debug_struct("TraceBus")
             .field("seq", &self.seq)
             .field("sinks", &self.sinks.len())
-            .field("counters", &self.counters.len())
+            .field(
+                "counters",
+                &self.counters.iter().map(Vec::len).sum::<usize>(),
+            )
             .field("series", &self.series.is_some())
             .field("spans", &self.spans.is_some())
             .finish()
@@ -938,26 +1018,53 @@ impl TraceBus {
 
     /// Adds `v` to counter `name` of `node`, saturating at `u64::MAX`.
     pub fn counter_add(&mut self, node: NodeId, name: &'static str, v: u64) {
-        let c = self.counters.entry((node.0, name)).or_insert(0);
+        let c = self.counter_slot(node, name);
         *c = c.saturating_add(v);
     }
 
     /// Raises counter `name` of `node` to at least `v` (high-water mark).
     pub fn counter_max(&mut self, node: NodeId, name: &'static str, v: u64) {
-        let c = self.counters.entry((node.0, name)).or_insert(0);
+        let c = self.counter_slot(node, name);
         *c = (*c).max(v);
+    }
+
+    /// The counter `name` of `node`, created at zero on first use.
+    fn counter_slot(&mut self, node: NodeId, name: &'static str) -> &mut u64 {
+        if self.counters.len() <= node.0 {
+            self.counters.resize_with(node.0 + 1, Vec::new);
+        }
+        let row = &mut self.counters[node.0];
+        let i = match row.iter().position(|&(n, _)| std::ptr::eq(n, name)) {
+            Some(i) => i,
+            None => match row.iter().position(|&(n, _)| n == name) {
+                Some(i) => i,
+                None => {
+                    row.push((name, 0));
+                    row.len() - 1
+                }
+            },
+        };
+        &mut row[i].1
     }
 
     /// Reads one counter (zero if never touched).
     pub fn counter(&self, node: NodeId, name: &'static str) -> u64 {
-        self.counters.get(&(node.0, name)).copied().unwrap_or(0)
+        self.counters
+            .get(node.0)
+            .and_then(|row| row.iter().find(|&&(n, _)| n == name))
+            .map_or(0, |&(_, v)| v)
     }
 
     /// The full registry, deterministically ordered by `(node, name)`.
     pub fn counters(&self) -> impl Iterator<Item = (NodeId, &'static str, u64)> + '_ {
-        self.counters
+        let mut all: Vec<(usize, &'static str, u64)> = self
+            .counters
             .iter()
-            .map(|(&(n, name), &v)| (NodeId(n), name, v))
+            .enumerate()
+            .flat_map(|(n, row)| row.iter().map(move |&(name, v)| (n, name, v)))
+            .collect();
+        all.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+        all.into_iter().map(|(n, name, v)| (NodeId(n), name, v))
     }
 }
 
@@ -1092,6 +1199,8 @@ impl Trace {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn rec(at_ns: u64, seq: u64) -> TraceRecord {
@@ -1104,6 +1213,288 @@ mod tests {
                 bytes: 64,
             },
         }
+    }
+
+    /// The `write!`-based JSONL formatter the stack encoder replaced,
+    /// kept as the equivalence oracle.
+    fn reference_jsonl(r: &TraceRecord) -> String {
+        use fmt::Write;
+        let mut out = String::new();
+        let f = r.flat();
+        let _ = write!(
+            out,
+            "{{\"at_ns\":{},\"seq\":{},\"event\":",
+            r.at.as_nanos(),
+            r.seq
+        );
+        escape_json_into(r.event.name(), &mut out);
+        if let Some(n) = f.node {
+            let _ = write!(out, ",\"node\":{}", n.0);
+        }
+        if let Some(p) = f.peer {
+            let _ = write!(out, ",\"peer\":{}", p.0);
+        }
+        if let Some(k) = f.kind {
+            out.push_str(",\"kind\":");
+            escape_json_into(k, &mut out);
+        }
+        if let Some(b) = f.bytes {
+            let _ = write!(out, ",\"bytes\":{b}");
+        }
+        if let Some(d) = f.dur_ns {
+            let _ = write!(out, ",\"dur_ns\":{d}");
+        }
+        if let Some(ok) = f.ok {
+            let _ = write!(out, ",\"ok\":{ok}");
+        }
+        out.push_str("}\n");
+        out
+    }
+
+    /// The `write!`-based CSV formatter the stack encoder replaced.
+    fn reference_csv(r: &TraceRecord) -> String {
+        use fmt::Write;
+        let mut out = String::new();
+        let f = r.flat();
+        let _ = write!(out, "{},{},{}", r.at.as_nanos(), r.seq, r.event.name());
+        match f.node {
+            Some(n) => {
+                let _ = write!(out, ",{}", n.0);
+            }
+            None => out.push(','),
+        }
+        match f.peer {
+            Some(p) => {
+                let _ = write!(out, ",{}", p.0);
+            }
+            None => out.push(','),
+        }
+        match f.kind {
+            Some(k) => {
+                let _ = write!(out, ",{k}");
+            }
+            None => out.push(','),
+        }
+        match f.bytes {
+            Some(b) => {
+                let _ = write!(out, ",{b}");
+            }
+            None => out.push(','),
+        }
+        match f.dur_ns {
+            Some(d) => {
+                let _ = write!(out, ",{d}");
+            }
+            None => out.push(','),
+        }
+        match f.ok {
+            Some(ok) => {
+                let _ = write!(out, ",{ok}");
+            }
+            None => out.push(','),
+        }
+        out.push('\n');
+        out
+    }
+
+    /// Every `TraceEvent` variant (each enum-valued field in every
+    /// state) with all integers set to `n` and the flag set to `ok`.
+    fn every_variant(n: u64, ok: bool) -> Vec<TraceEvent> {
+        let node = NodeId(n as usize);
+        let d = SimDuration::from_nanos(n);
+        let mut v = Vec::new();
+        for op in [OpClass::Set, OpClass::Get] {
+            v.push(TraceEvent::OpAdmitted { client: node, op });
+            v.push(TraceEvent::OpCompleted {
+                client: node,
+                op,
+                latency: d,
+                ok,
+                bytes: n,
+            });
+            v.push(TraceEvent::Retry { client: node, op });
+            v.push(TraceEvent::DeadlineExceeded {
+                client: node,
+                op,
+                latency: d,
+            });
+        }
+        for dir in [NicDir::Tx, NicDir::Rx] {
+            v.push(TraceEvent::NicQueueEnter {
+                node,
+                dir,
+                depth: n,
+            });
+            v.push(TraceEvent::NicQueueExit {
+                node,
+                dir,
+                waited: d,
+            });
+        }
+        for op in [CodecOp::Encode, CodecOp::Decode] {
+            v.push(TraceEvent::CodecStart { node, op, bytes: n });
+            v.push(TraceEvent::CodecEnd { node, op, took: d });
+        }
+        v.extend([
+            TraceEvent::ShardSend {
+                from: node,
+                to: node,
+                bytes: n,
+            },
+            TraceEvent::ShardRecv {
+                from: node,
+                to: node,
+                bytes: n,
+            },
+            TraceEvent::FailureDetected { node, by: node },
+            TraceEvent::RepairShard { node, bytes: n },
+            TraceEvent::SsdSpill { node, bytes: n },
+            TraceEvent::SsdRead { node, bytes: n },
+            TraceEvent::HedgeFired {
+                client: node,
+                extra: n,
+            },
+            TraceEvent::HedgeWon {
+                client: node,
+                waited: d,
+            },
+            TraceEvent::NodeDegraded {
+                node,
+                factor_x100: n,
+            },
+            TraceEvent::RepairStarted { node, bytes: n },
+            TraceEvent::RepairThrottled { node, waited: d },
+            TraceEvent::RepairKeyPromoted { node, depth: n },
+            TraceEvent::QueueCapped {
+                node,
+                depth: n,
+                repair: ok,
+            },
+            TraceEvent::OpShed {
+                client: node,
+                server: node,
+                repair: ok,
+            },
+            TraceEvent::RepairDone {
+                node,
+                keys: n,
+                elapsed: d,
+            },
+            TraceEvent::VshardReassigned {
+                node,
+                from: node,
+                vshard: n,
+            },
+            TraceEvent::MigrationStarted { node, keys: n },
+            TraceEvent::MigrationDone {
+                node,
+                keys: n,
+                elapsed: d,
+            },
+        ]);
+        v
+    }
+
+    /// 0, 9, 10, 99, 100, every `10^k ± 1`, and `u64::MAX`.
+    fn boundary_integers() -> Vec<u64> {
+        let mut v = vec![0, 9, 10, 99, 100, u64::MAX - 1, u64::MAX];
+        let mut p = 10u64;
+        while let Some(next) = p.checked_mul(10) {
+            v.extend([p - 1, p, p + 1]);
+            p = next;
+        }
+        v.extend([p - 1, p, p + 1]);
+        v
+    }
+
+    #[test]
+    fn encoder_matches_the_write_based_oracle_at_boundary_integers() {
+        let mut names: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
+        for n in boundary_integers() {
+            for ok in [false, true] {
+                for event in every_variant(n, ok) {
+                    names.insert(event.name());
+                    let r = TraceRecord {
+                        at: SimTime::from_nanos(n),
+                        seq: n,
+                        event,
+                    };
+                    let mut jsonl = String::new();
+                    r.write_jsonl(&mut jsonl);
+                    assert_eq!(jsonl, reference_jsonl(&r), "{r:?}");
+                    let mut csv = String::new();
+                    r.write_csv(&mut csv);
+                    assert_eq!(csv, reference_csv(&r), "{r:?}");
+                }
+            }
+        }
+        // The variant list above covers the whole schema.
+        let schema = event_schema();
+        let schema: std::collections::BTreeSet<&str> = schema
+            .lines()
+            .skip(2)
+            .map(|l| l.split(':').next().expect("name"))
+            .collect();
+        assert_eq!(names, schema);
+    }
+
+    #[test]
+    fn event_names_and_kind_labels_need_no_json_escaping() {
+        // The encoder writes these between quotes verbatim.
+        for event in every_variant(1, true)
+            .into_iter()
+            .chain(every_variant(1, false))
+        {
+            let r = TraceRecord {
+                at: SimTime::ZERO,
+                seq: 0,
+                event,
+            };
+            let labels = [Some(event.name()), r.flat().kind];
+            for label in labels.into_iter().flatten() {
+                let mut quoted = String::new();
+                escape_json_into(label, &mut quoted);
+                assert_eq!(quoted, format!("\"{label}\""));
+                assert!(label.bytes().all(|b| b.is_ascii_graphic()), "{label}");
+                assert!(!label.contains(','), "{label} would split a CSV cell");
+            }
+        }
+    }
+
+    #[test]
+    fn one_name_behind_two_pointers_is_one_counter() {
+        let a: &'static str = "nic_tx_msgs";
+        let b: &'static str = Box::leak(String::from("nic_tx_msgs").into_boxed_str());
+        assert_ne!(a.as_ptr(), b.as_ptr());
+        let mut bus = TraceBus::new();
+        bus.counter_add(NodeId(1), a, 2);
+        bus.counter_add(NodeId(1), b, 3);
+        bus.counter_max(NodeId(1), b, 4);
+        assert_eq!(bus.counter(NodeId(1), a), 5);
+        assert_eq!(bus.counter(NodeId(1), b), 5);
+        assert_eq!(bus.counters().count(), 1);
+    }
+
+    #[test]
+    fn counters_iterate_like_the_btreemap_they_replaced() {
+        // Interleaved nodes, names inserted out of order, some through a
+        // second pointer: iteration must follow `(node, name)` order.
+        let mut bus = TraceBus::new();
+        let mut want = BTreeMap::new();
+        let names = ["nic_tx_msgs", "codec", "nic_rx_bytes", "a", "zz", "nic_tx"];
+        for i in 0..60usize {
+            let node = (i * 7) % 5;
+            let name: &'static str = if i % 3 == 0 {
+                Box::leak(names[i % names.len()].to_string().into_boxed_str())
+            } else {
+                names[i % names.len()]
+            };
+            bus.counter_add(NodeId(node), name, i as u64);
+            *want.entry((node, name)).or_insert(0u64) += i as u64;
+        }
+        let got: Vec<(usize, &str, u64)> = bus.counters().map(|(n, k, v)| (n.0, k, v)).collect();
+        let want: Vec<(usize, &str, u64)> = want.into_iter().map(|((n, k), v)| (n, k, v)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -231,3 +231,58 @@ fn disabled_trace_adds_no_events_and_changes_no_results() {
     let untraced = run(Trace::disabled());
     assert_eq!(traced, untraced, "tracing must not perturb the simulation");
 }
+
+#[test]
+fn per_server_nic_use_covers_only_the_measured_window() {
+    // `eckv-sim --workload ycsb-a --clients 150 --client-nodes 10
+    // --size 32K --window 1` at fewer ops. The load phase used to count
+    // toward the NIC busy totals divided by the run's elapsed time, so
+    // servers printed rx near 200%.
+    let clients = 150;
+    let ops = 20;
+    let world = World::new(
+        EngineConfig::new(
+            ClusterConfig::new(ClusterProfile::RiQdr, 5, clients).client_nodes(10),
+            Scheme::era_ce_cd(3, 2),
+        )
+        .window(1)
+        .validate(false),
+    );
+    let mut sim = Simulation::new();
+    let cfg = eckv::ycsb::YcsbConfig {
+        workload: eckv::ycsb::Workload::A,
+        record_count: (ops * clients as u64 / 2).max(100),
+        ops_per_client: ops,
+        clients,
+        value_len: 32 << 10,
+        seed: 2017,
+    };
+    eckv::ycsb::run(&world, &mut sim, &cfg);
+    // What eckv-sim divides by: the window's first admission to the end.
+    let started = world.metrics.borrow().started_at.expect("ops ran");
+    let elapsed = sim.now().since(started).as_nanos();
+    assert!(elapsed > 0);
+    let pct = |d: SimDuration| d.as_nanos() as f64 * 100.0 / elapsed as f64;
+    let mut whole_run_rx_max = 0.0f64;
+    for i in 0..world.cluster.servers.len() {
+        let w = world.server_window(i);
+        assert!(
+            pct(w.nic_tx_busy) <= 100.0 && pct(w.nic_rx_busy) <= 100.0,
+            "server {i}: nic tx {:.2}% rx {:.2}%",
+            pct(w.nic_tx_busy),
+            pct(w.nic_rx_busy)
+        );
+        let (_, rx) = world
+            .cluster
+            .net
+            .borrow()
+            .nic_busy(world.cluster.server_node(i));
+        whole_run_rx_max = whole_run_rx_max.max(pct(rx));
+        // Sets and hits are windowed too: only measured-phase ops count.
+        let st = world.cluster.servers[i].borrow().stats();
+        assert!(w.sets < st.sets, "server {i}: load-phase sets leaked in");
+    }
+    // Control: the unwindowed totals over the same elapsed time are the
+    // over-100% figures this guards against.
+    assert!(whole_run_rx_max > 100.0, "{whole_run_rx_max:.1}%");
+}
