@@ -102,9 +102,11 @@
 //! * `--stats-interval 10ms` — windowed time series (throughput, p50/p99,
 //!   wire bytes, codec busy) printed after the run.
 //! * `--report` — per-node counter registry (NIC busy/queue high-water,
-//!   codec invocations, repair traffic, SSD spills) printed after the run.
-//!   When degraded reads occurred, the GET latency and phase breakdown are
-//!   additionally split into healthy and degraded cohorts.
+//!   codec invocations, repair traffic, SSD spills) printed after the run,
+//!   preceded by the engine's own figures: events executed and the most
+//!   events ever pending at once. When degraded reads occurred, the GET
+//!   latency and phase breakdown are additionally split into healthy and
+//!   degraded cohorts.
 //! * `--explain-tail` — record causal spans for every op, compute each
 //!   op's critical path at completion, and print per-phase critical-path
 //!   time bucketed by percentile cohort (p50/p95/p99/p99.9).
@@ -861,6 +863,9 @@ fn main() {
         }
     }
     if args.report {
+        println!("\n== engine ==");
+        println!("events executed   : {}", sim.events_executed());
+        println!("pending high-water: {}", sim.pending_hwm());
         println!("\n== trace counters ==");
         trace.with_bus(|bus| {
             println!("events emitted    : {}", bus.events_emitted());

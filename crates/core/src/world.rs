@@ -613,7 +613,31 @@ impl World {
 
     /// Storage key of erasure chunk `i` of `key`.
     pub(crate) fn shard_key(key: &str, i: usize) -> Arc<str> {
-        format!("{key}.s{i}").into()
+        // `{key}.s{i}` assembled on the stack, so the `Arc` is the only
+        // allocation.
+        let mut buf = [0u8; 64];
+        let mut digits = [0u8; 20];
+        let mut d = digits.len();
+        let mut rest = i;
+        loop {
+            d -= 1;
+            digits[d] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        let digits = &digits[d..];
+        let len = key.len() + 2 + digits.len();
+        if len > buf.len() {
+            return format!("{key}.s{i}").into();
+        }
+        buf[..key.len()].copy_from_slice(key.as_bytes());
+        buf[key.len()..key.len() + 2].copy_from_slice(b".s");
+        buf[key.len() + 2..len].copy_from_slice(digits);
+        std::str::from_utf8(&buf[..len])
+            .expect("a str plus ASCII is UTF-8")
+            .into()
     }
 
     /// Shard length for a value of `len` bytes under the current codec.
@@ -844,6 +868,16 @@ mod tests {
     fn shard_keys_are_distinct() {
         assert_ne!(World::shard_key("k", 0), World::shard_key("k", 1));
         assert_ne!(World::shard_key("k", 0), World::shard_key("k2", 0));
+    }
+
+    #[test]
+    fn shard_keys_spell_key_dot_s_index() {
+        let long = "k".repeat(70);
+        for key in ["", "user42", "é-ü", &long[..61], &long[..62], &long] {
+            for i in [0, 7, 10, 255, 1_000_000, usize::MAX] {
+                assert_eq!(&*World::shard_key(key, i), format!("{key}.s{i}"));
+            }
+        }
     }
 
     #[test]

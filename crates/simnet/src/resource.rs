@@ -7,7 +7,7 @@
 //! from the max(now, free_at) rule.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -79,7 +79,9 @@ pub struct FifoResource {
     free_at: SimTime,
     busy: SimDuration,
     reservations: u64,
-    pending: BinaryHeap<Reverse<SimTime>>,
+    /// Completion instants of the reservations not yet pruned. A single
+    /// server finishes in booking order, so this stays sorted.
+    pending: VecDeque<SimTime>,
     floor: SimTime,
     queue_hwm: u64,
     cap: Option<QueueCap>,
@@ -93,7 +95,7 @@ impl FifoResource {
             free_at: SimTime::ZERO,
             busy: SimDuration::ZERO,
             reservations: 0,
-            pending: BinaryHeap::new(),
+            pending: VecDeque::new(),
             floor: SimTime::ZERO,
             queue_hwm: 0,
             cap: None,
@@ -150,10 +152,15 @@ impl FifoResource {
     /// the next real-clock arrival, silently under-reporting the backlog.
     pub fn prune(&mut self, now: SimTime) {
         self.floor = self.floor.max(now);
-        while matches!(self.pending.peek(), Some(&Reverse(t)) if t <= self.floor) {
-            self.pending.pop();
-        }
+        self.drop_completed();
         self.queue_hwm = self.queue_hwm.max(self.pending.len() as u64);
+    }
+
+    /// Drops the reservations that completed by the prune watermark.
+    fn drop_completed(&mut self) {
+        while matches!(self.pending.front(), Some(&t) if t <= self.floor) {
+            self.pending.pop_front();
+        }
     }
 
     /// Reserves `service` time starting no earlier than `now`; returns the
@@ -168,10 +175,12 @@ impl FifoResource {
         self.free_at = end;
         self.busy += service;
         self.reservations += 1;
-        while matches!(self.pending.peek(), Some(&Reverse(t)) if t <= self.floor) {
-            self.pending.pop();
-        }
-        self.pending.push(Reverse(end));
+        self.drop_completed();
+        debug_assert!(
+            self.pending.back().is_none_or(|&last| last <= end),
+            "a FIFO server completes in booking order"
+        );
+        self.pending.push_back(end);
         self.queue_hwm = self.queue_hwm.max(self.pending.len() as u64);
         end
     }
@@ -188,10 +197,10 @@ impl FifoResource {
     /// Reservations still outstanding (queued or in service) at `now`.
     ///
     /// Counted by time rather than from the lazily-compacted bookkeeping
-    /// heap, so an idle resource reports 0 without waiting for the next
+    /// ledger, so an idle resource reports 0 without waiting for the next
     /// [`FifoResource::prune`] call to drop drained entries.
     pub fn queue_depth(&self, now: SimTime) -> u64 {
-        self.pending.iter().filter(|&&Reverse(t)| t > now).count() as u64
+        (self.pending.len() - self.pending.partition_point(|&t| t <= now)) as u64
     }
 
     /// Highest queue depth ever observed.
@@ -619,5 +628,54 @@ mod tests {
         assert!(!p.admits_within(SimTime::ZERO, &QueueCap::depth(2)));
         // No cap installed: unconditional admission.
         assert!(p.admits(SimTime::ZERO));
+    }
+
+    #[test]
+    fn fifo_ledger_matches_the_heap_ledger() {
+        // The min-heap ledger the sorted deque replaced, as the reference
+        // for depth and high-water mark.
+        struct HeapLedger {
+            pending: BinaryHeap<Reverse<SimTime>>,
+            floor: SimTime,
+            hwm: u64,
+        }
+        impl HeapLedger {
+            fn drop_completed(&mut self) {
+                while matches!(self.pending.peek(), Some(&Reverse(t)) if t <= self.floor) {
+                    self.pending.pop();
+                }
+            }
+        }
+        for seed in 0..20u64 {
+            let mut rng = crate::rng::SimRng::seed_from_u64(seed);
+            let mut r = FifoResource::new("nic");
+            let mut heap = HeapLedger {
+                pending: BinaryHeap::new(),
+                floor: SimTime::ZERO,
+                hwm: 0,
+            };
+            let mut clock = 0u64;
+            for _ in 0..3_000 {
+                clock += rng.next_below(40);
+                let now = SimTime::from_nanos(clock);
+                if rng.next_below(3) == 0 {
+                    r.prune(now);
+                    heap.floor = heap.floor.max(now);
+                    heap.drop_completed();
+                } else {
+                    // Bookings may be future-dated, and some take no time.
+                    let at = SimTime::from_nanos(clock + rng.next_below(4) * rng.next_below(100));
+                    let service = SimDuration::from_nanos(rng.next_below(4) * rng.next_below(60));
+                    let end = r.reserve(at, service);
+                    heap.drop_completed();
+                    heap.pending.push(Reverse(end));
+                }
+                heap.hwm = heap.hwm.max(heap.pending.len() as u64);
+                let probe = SimTime::from_nanos(clock + rng.next_below(200));
+                let want = heap.pending.iter().filter(|&&Reverse(t)| t > probe).count() as u64;
+                assert_eq!(r.queue_depth(probe), want, "seed {seed}");
+                assert_eq!(r.queue_hwm(), heap.hwm, "seed {seed}");
+            }
+        }
     }
 }

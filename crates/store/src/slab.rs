@@ -55,6 +55,47 @@ impl SlabConfig {
     }
 }
 
+/// The class sizes of a [`SlabConfig`], built once so a lookup costs a
+/// binary search instead of a walk up the floating-point ladder.
+#[derive(Debug, Clone)]
+pub(crate) struct SlabClasses {
+    max_chunk: u64,
+    /// The ladder from `min_chunk` up to its first step at or above
+    /// `max_chunk`.
+    sizes: Vec<u64>,
+}
+
+impl SlabClasses {
+    /// Walks the ladder of `cfg` once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is degenerate (`growth <= 1`).
+    pub(crate) fn new(cfg: &SlabConfig) -> Self {
+        assert!(cfg.growth > 1.0, "slab growth factor must exceed 1");
+        let mut sizes = vec![cfg.min_chunk];
+        let mut chunk = cfg.min_chunk;
+        while chunk < cfg.max_chunk {
+            chunk = ((chunk as f64) * cfg.growth).ceil() as u64;
+            sizes.push(chunk);
+        }
+        SlabClasses {
+            max_chunk: cfg.max_chunk,
+            sizes,
+        }
+    }
+
+    /// Same as [`SlabConfig::chunk_size`] on the configuration the table
+    /// was built from.
+    pub(crate) fn chunk_size(&self, bytes: u64) -> u64 {
+        if bytes >= self.max_chunk {
+            return bytes.div_ceil(self.max_chunk) * self.max_chunk;
+        }
+        let class = self.sizes.partition_point(|&c| c < bytes);
+        self.sizes[class].min(self.max_chunk)
+    }
+}
+
 /// Chunk size under the default memcached geometry.
 ///
 /// ```
@@ -117,6 +158,40 @@ mod tests {
             let c = cfg.chunk_size(bytes.max(1));
             assert!(c >= last);
             last = c;
+        }
+    }
+
+    #[test]
+    fn class_table_agrees_with_the_ladder() {
+        let geometries = [
+            SlabConfig::default(),
+            SlabConfig {
+                min_chunk: 48,
+                growth: 1.07,
+                max_chunk: 1 << 20,
+            },
+            SlabConfig {
+                min_chunk: 1,
+                growth: 2.0,
+                max_chunk: 1000,
+            },
+        ];
+        for cfg in geometries {
+            let table = SlabClasses::new(&cfg);
+            let mut probes = vec![0, 1, cfg.max_chunk * 3 + 7, cfg.max_chunk * 5];
+            for &c in &table.sizes {
+                probes.extend([c - 1, c, c + 1]);
+            }
+            for m in [cfg.max_chunk, 2 * cfg.max_chunk] {
+                probes.extend([m - 1, m, m + 1]);
+            }
+            for bytes in probes {
+                assert_eq!(
+                    table.chunk_size(bytes),
+                    cfg.chunk_size(bytes),
+                    "{cfg:?} at {bytes} bytes"
+                );
+            }
         }
     }
 }
