@@ -68,8 +68,20 @@ impl ShardReply {
     }
 }
 
-/// Callback a [`ShardIo`] closure invokes when its request completes.
-pub(crate) type ReplyCb = Box<dyn FnOnce(&mut Simulation, ShardReply)>;
+/// Where a [`ShardIo`] closure reports its request's outcome: the
+/// fan-out's state and the request's slot. A plain value, so a shard
+/// request allocates nothing beyond its RPC.
+pub(crate) struct ReplyTo {
+    state: Rc<RefCell<Inner>>,
+    slot: usize,
+}
+
+impl ReplyTo {
+    /// Books the request's outcome with its fan-out.
+    pub fn deliver(self, sim: &mut Simulation, reply: ShardReply) {
+        on_reply(&self.state, sim, self.slot, reply);
+    }
+}
 
 /// One request the fan-out asks its [`ShardIo`] to issue.
 pub(crate) struct Issue {
@@ -88,10 +100,12 @@ pub(crate) struct Issue {
 }
 
 /// Transport glue: performs the actual request for `issue` and arranges
-/// for `reply` to fire exactly once (or never, if the request is
-/// cancelled). Returns the instant the request hit the wire, which seeds
-/// the hedge clock for the first request of the first wave.
-pub(crate) type ShardIo = Box<dyn Fn(&mut Simulation, Issue, ReplyCb) -> SimTime>;
+/// for [`ReplyTo::deliver`] to be called exactly once (or never, if the
+/// request is cancelled). Returns the instant the request hit the wire,
+/// which seeds the hedge clock for the first request of the first wave.
+/// Behind `Rc` so a wave can invoke it with the state borrow released
+/// (an io may answer synchronously, e.g. a local store lookup).
+pub(crate) type ShardIo = Rc<dyn Fn(&mut Simulation, Issue, ReplyTo) -> SimTime>;
 
 /// How large the opening wave is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,9 +242,7 @@ struct Inner {
     policy: QuorumPolicy,
     liveness: Liveness,
     hedge_node: NodeId,
-    /// Behind `Rc` so a wave can invoke it with the state borrow released
-    /// (an io may answer synchronously, e.g. a local store lookup).
-    io: Rc<ShardIo>,
+    io: ShardIo,
     good: Vec<(usize, Payload)>,
     succeeded: usize,
     outstanding: usize,
@@ -259,25 +271,31 @@ impl Inner {
 
     /// Untried candidates passing the liveness filter, up to `take`.
     fn untried(&self, take: usize) -> Vec<usize> {
-        self.candidates
-            .iter()
-            .enumerate()
-            .filter(|&(i, &(_, srv))| !self.tried[i] && self.alive(srv))
-            .take(take)
-            .map(|(i, _)| i)
-            .collect()
+        let mut wave = Vec::with_capacity(take.min(self.candidates.len()));
+        wave.extend(
+            self.candidates
+                .iter()
+                .enumerate()
+                .filter(|&(i, &(_, srv))| !self.tried[i] && self.alive(srv))
+                .take(take)
+                .map(|(i, _)| i),
+        );
+        wave
     }
 
     /// The opening wave: pinned candidates unconditionally, then live
     /// ones, up to `cap`.
     fn opening(&self, cap: usize) -> Vec<usize> {
-        self.candidates
-            .iter()
-            .enumerate()
-            .filter(|&(i, &(_, srv))| i < self.pinned || self.alive(srv))
-            .take(cap)
-            .map(|(i, _)| i)
-            .collect()
+        let mut wave = Vec::with_capacity(cap.min(self.candidates.len()));
+        wave.extend(
+            self.candidates
+                .iter()
+                .enumerate()
+                .filter(|&(i, &(_, srv))| i < self.pinned || self.alive(srv))
+                .take(cap)
+                .map(|(i, _)| i),
+        );
+        wave
     }
 }
 
@@ -308,7 +326,7 @@ impl FanOut {
             policy: spec.policy,
             liveness: spec.liveness,
             hedge_node: spec.hedge_node,
-            io: Rc::new(io),
+            io,
             good: Vec::new(),
             succeeded: 0,
             outstanding: 0,
@@ -369,8 +387,10 @@ fn issue_wave(
             let (slot, srv) = st.candidates[cand];
             (slot, srv, st.cancel.clone())
         };
-        let state2 = state.clone();
-        let reply: ReplyCb = Box::new(move |sim, r| on_reply(&state2, sim, slot, r));
+        let reply = ReplyTo {
+            state: state.clone(),
+            slot,
+        };
         let issue = Issue {
             slot,
             srv,
@@ -600,7 +620,7 @@ pub(crate) fn client_set_io(
     let world = world.clone();
     let client_node = world.cluster.client_node(client);
     let post = world.cluster.net_config().post_overhead;
-    Box::new(move |sim, issue, reply| {
+    Rc::new(move |sim, issue, reply| {
         let issue_at = world.reserve_client_cpu(client, issue.from, post);
         let server = world.cluster.servers[issue.srv].clone();
         let (wire_key, payload) = pick(issue.slot);
@@ -616,7 +636,7 @@ pub(crate) fn client_set_io(
             payload,
             prio,
             move |sim, r| {
-                reply(
+                reply.deliver(
                     sim,
                     match r {
                         Ok(a) => ShardReply::Good {
@@ -650,7 +670,7 @@ pub(crate) fn client_get_io(
     let world = world.clone();
     let client_node = world.cluster.client_node(client);
     let post = world.cluster.net_config().post_overhead;
-    Box::new(move |sim, issue, reply| {
+    Rc::new(move |sim, issue, reply| {
         let issue_at = world.reserve_client_cpu(client, sim.now(), post);
         let server = world.cluster.servers[issue.srv].clone();
         let wire_key = if shard_keys {
@@ -670,7 +690,7 @@ pub(crate) fn client_get_io(
             issue.cancel,
             prio,
             move |sim, r| {
-                reply(
+                reply.deliver(
                     sim,
                     match r {
                         Ok(g) => match g.value {

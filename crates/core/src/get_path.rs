@@ -33,7 +33,7 @@ pub(crate) fn start_get(
     key: Arc<str>,
     done: DoneCb,
 ) {
-    if world.try_targets(&key).is_err() {
+    let Ok(targets) = world.try_targets(&key) else {
         // The membership dropped below the scheme's group width (an
         // over-eager drain): no valid placement exists to read from, so
         // the operation fails cleanly instead of panicking.
@@ -57,23 +57,35 @@ pub(crate) fn start_get(
             done,
         );
         return;
-    }
+    };
     match world.scheme {
         Scheme::NoRep | Scheme::AsyncRep { .. } | Scheme::SyncRep { .. } => {
-            get_replicated(world, sim, client, key, done)
+            get_replicated(world, sim, client, key, targets, done)
         }
         Scheme::Erasure {
             decode_at: Side::Client,
             ..
         } => {
             let op_start = sim.now();
-            get_era_client_decode(world, sim, client, key, op_start, SimDuration::ZERO, done)
+            let request_base = SimDuration::ZERO;
+            get_era_client_decode(
+                world,
+                sim,
+                client,
+                key,
+                targets,
+                op_start,
+                request_base,
+                done,
+            )
         }
         Scheme::Erasure {
             decode_at: Side::Server,
             ..
-        } => get_era_server_decode(world, sim, client, key, done),
-        Scheme::Hybrid { replicas, .. } => get_hybrid(world, sim, client, key, replicas, done),
+        } => get_era_server_decode(world, sim, client, key, targets, done),
+        Scheme::Hybrid { replicas, .. } => {
+            get_hybrid(world, sim, client, key, targets, replicas, done)
+        }
     }
 }
 
@@ -86,6 +98,7 @@ fn get_hybrid(
     sim: &mut Simulation,
     client: usize,
     key: Arc<str>,
+    targets: Vec<usize>,
     replicas: usize,
     done: DoneCb,
 ) {
@@ -93,11 +106,14 @@ fn get_hybrid(
     let check = world.cfg.liveness_check;
     let post = world.cluster.net_config().post_overhead;
     let client_node = world.cluster.client_node(client);
-    let rep_targets: Vec<usize> = world.targets(&key).into_iter().take(replicas).collect();
 
-    let Some(&srv) = rep_targets.iter().find(|&&s| world.view_alive(client, s)) else {
+    let replica = targets
+        .iter()
+        .take(replicas)
+        .find(|&&s| world.view_alive(client, s));
+    let Some(&srv) = replica else {
         // No replica holder is reachable; the chunk path may still work.
-        get_era_client_decode(world, sim, client, key, op_start, check, done);
+        get_era_client_decode(world, sim, client, key, targets, op_start, check, done);
         return;
     };
     let issue_at = world.reserve_client_cpu(client, op_start, check + post);
@@ -136,10 +152,21 @@ fn get_hybrid(
             }
             // A clean miss means the value was erasure-coded: fall through
             // to the chunk path, keeping the probe's cost in the request
-            // phase.
+            // phase. The probe took a round trip, during which membership
+            // may have moved, so the chunk holders are looked up afresh.
             Ok(r) => {
                 debug_assert!(r.value.is_none());
-                get_era_client_decode(&world2, sim, client, key, op_start, check + post, done)
+                let targets = world2.targets(&key);
+                get_era_client_decode(
+                    &world2,
+                    sim,
+                    client,
+                    key,
+                    targets,
+                    op_start,
+                    check + post,
+                    done,
+                )
             }
             // A dead replica holder is a view update, not evidence the
             // value was chunked: retry so the probe hits the next replica.
@@ -195,10 +222,10 @@ fn get_replicated(
     sim: &mut Simulation,
     client: usize,
     key: Arc<str>,
+    targets: Vec<usize>,
     done: DoneCb,
 ) {
     let op_start = sim.now();
-    let targets = world.targets(&key);
     let check = world.cfg.liveness_check;
     let post = world.cluster.net_config().post_overhead;
 
@@ -357,23 +384,28 @@ fn check_chunks(
 /// hedged against stragglers), decode at the client only if a data chunk
 /// is missing. `request_base` carries request-phase cost already paid by
 /// a caller (the hybrid probe).
+#[allow(clippy::too_many_arguments)]
 fn get_era_client_decode(
     world: &Rc<World>,
     sim: &mut Simulation,
     client: usize,
     key: Arc<str>,
+    mut targets: Vec<usize>,
     op_start: SimTime,
     request_base: SimDuration,
     done: DoneCb,
 ) {
     let (k, m, _, _, _) = world.scheme.erasure_params().expect("erasure scheme");
-    let mut targets = world.targets(&key);
     targets.truncate(k + m);
     let check = world.cfg.liveness_check;
     let post = world.cluster.net_config().post_overhead;
     let now = sim.now();
 
-    if choose_chunks(world, client, &targets, k).is_none() {
+    let live = targets
+        .iter()
+        .filter(|&&s| world.view_alive(client, s))
+        .count();
+    if live < k {
         let at = world.reserve_client_cpu(client, now, check);
         finish_op(
             world,
@@ -509,11 +541,11 @@ fn get_era_server_decode(
     sim: &mut Simulation,
     client: usize,
     key: Arc<str>,
+    mut targets: Vec<usize>,
     done: DoneCb,
 ) {
     let op_start = sim.now();
     let (k, m, _, _, _) = world.scheme.erasure_params().expect("erasure scheme");
-    let mut targets = world.targets(&key);
     targets.truncate(k + m);
     let check = world.cfg.liveness_check;
     let post = world.cluster.net_config().post_overhead;
@@ -655,7 +687,7 @@ fn get_era_server_decode(
                 let world = world2.clone();
                 let aggregator = aggregator.clone();
                 let key = key.clone();
-                Box::new(move |sim, issue, reply| {
+                Rc::new(move |sim, issue, reply| {
                     if issue.srv == agg_srv {
                         // Local chunk: a store lookup on the aggregator
                         // itself.
@@ -675,7 +707,7 @@ fn get_era_server_decode(
                             },
                             None => ShardReply::Empty { at: local_done },
                         };
-                        reply(sim, r);
+                        reply.deliver(sim, r);
                         issue.from
                     } else {
                         let start = issue.from + post * (issue.seq + 1);
@@ -695,7 +727,7 @@ fn get_era_server_decode(
                             issue.cancel,
                             rpc::RpcPriority::Foreground,
                             move |sim, r| {
-                                reply(
+                                reply.deliver(
                                     sim,
                                     match r {
                                         Ok(g) => match g.value {

@@ -77,28 +77,29 @@ pub(crate) fn start_set(
     payload: Payload,
     done: DoneCb,
 ) {
-    if world.try_targets(&key).is_err() {
+    let Ok(mut targets) = world.try_targets(&key) else {
         // The membership dropped below the scheme's group width (an
         // over-eager drain): there is no valid placement to write to, so
         // the operation fails cleanly instead of panicking.
         let value_len = payload.len();
         fail_unwritable(world, sim, value_len, done);
         return;
-    }
+    };
     match world.scheme {
         Scheme::NoRep | Scheme::AsyncRep { .. } => {
-            let targets = world.targets(&key);
             set_parallel_replicated(world, sim, client, key, payload, targets, done)
         }
-        Scheme::SyncRep { .. } => set_sync_replicated(world, sim, client, key, payload, done),
+        Scheme::SyncRep { .. } => {
+            set_sync_replicated(world, sim, client, key, payload, targets, done)
+        }
         Scheme::Erasure {
             encode_at: Side::Client,
             ..
-        } => set_era_client_encode(world, sim, client, key, payload, done),
+        } => set_era_client_encode(world, sim, client, key, payload, targets, done),
         Scheme::Erasure {
             encode_at: Side::Server,
             ..
-        } => set_era_server_encode(world, sim, client, key, payload, done),
+        } => set_era_server_encode(world, sim, client, key, payload, targets, done),
         Scheme::Hybrid {
             threshold,
             replicas,
@@ -107,11 +108,10 @@ pub(crate) fn start_set(
             // Small values replicate (chunking overheads dominate there);
             // large values take the Era-CE-CD path.
             if payload.len() <= threshold {
-                let mut targets = world.targets(&key);
                 targets.truncate(replicas);
                 set_parallel_replicated(world, sim, client, key, payload, targets, done)
             } else {
-                set_era_client_encode(world, sim, client, key, payload, done)
+                set_era_client_encode(world, sim, client, key, payload, targets, done)
             }
         }
     }
@@ -193,13 +193,10 @@ fn set_sync_replicated(
     client: usize,
     key: Arc<str>,
     payload: Payload,
+    mut targets: Vec<usize>,
     done: DoneCb,
 ) {
-    let targets: Vec<usize> = world
-        .targets(&key)
-        .into_iter()
-        .filter(|&s| world.view_alive(client, s))
-        .collect();
+    targets.retain(|&s| world.view_alive(client, s));
     if targets.is_empty() {
         let value_len = payload.len();
         fail_unwritable(world, sim, value_len, done);
@@ -320,6 +317,7 @@ fn set_era_client_encode(
     client: usize,
     key: Arc<str>,
     payload: Payload,
+    mut targets: Vec<usize>,
     done: DoneCb,
 ) {
     let op_start = sim.now();
@@ -327,7 +325,6 @@ fn set_era_client_encode(
     let digest = payload.digest();
     let shard_len = world.shard_len(value_len);
     let (k, m, _, _, _) = world.scheme.erasure_params().expect("erasure or hybrid");
-    let mut targets = world.targets(&key);
     targets.truncate(k + m);
     let post = world.cluster.net_config().post_overhead;
     let client_node = world.cluster.client_node(client);
@@ -408,6 +405,7 @@ fn set_era_server_encode(
     client: usize,
     key: Arc<str>,
     payload: Payload,
+    mut targets: Vec<usize>,
     done: DoneCb,
 ) {
     let op_start = sim.now();
@@ -415,7 +413,6 @@ fn set_era_server_encode(
     let digest = payload.digest();
     let shard_len = world.shard_len(value_len);
     let (k, m, _, _, _) = world.scheme.erasure_params().expect("erasure scheme");
-    let mut targets = world.targets(&key);
     targets.truncate(k + m);
     let post = world.cluster.net_config().post_overhead;
     let client_node = world.cluster.client_node(client);
@@ -594,7 +591,7 @@ fn set_era_server_encode(
                 let world = world2.clone();
                 let net = net.clone();
                 let key = key.clone();
-                Box::new(move |sim, issue, reply| {
+                Rc::new(move |sim, issue, reply| {
                     let start = issue.from + post * (issue.seq + 1);
                     world
                         .trace
@@ -612,7 +609,7 @@ fn set_era_server_encode(
                         shards[issue.slot].clone(),
                         rpc::RpcPriority::Foreground,
                         move |sim, r| {
-                            reply(
+                            reply.deliver(
                                 sim,
                                 match r {
                                     Ok(a) => ShardReply::Good {

@@ -4,7 +4,23 @@ use std::collections::VecDeque;
 
 use crate::time::{SimDuration, SimTime};
 
-type Action = Box<dyn FnOnce(&mut Simulation)>;
+/// Something that happens at a scheduled instant.
+///
+/// Closures are events through the blanket impl. A typed event that
+/// passes through several stages (a message in flight: depart, arrive,
+/// deliver) implements this itself and hands its own box back to
+/// [`Simulation::schedule_event`] for the next stage, so only its first
+/// stage allocates.
+pub trait Event {
+    /// Runs the event at its instant; `sim.now()` is that instant.
+    fn fire(self: Box<Self>, sim: &mut Simulation);
+}
+
+impl<F: FnOnce(&mut Simulation) + 'static> Event for F {
+    fn fire(self: Box<Self>, sim: &mut Simulation) {
+        (*self)(sim)
+    }
+}
 
 /// Largest drained bucket buffer kept for reuse, in keys.
 const KEEP_BUCKET_CAPACITY: usize = 64;
@@ -149,7 +165,8 @@ fn bucket(diff: u64) -> usize {
 
 /// A deterministic discrete-event simulation.
 ///
-/// Events are closures scheduled at virtual instants; [`Simulation::run`]
+/// Events are closures (or other [`Event`]s) scheduled at virtual
+/// instants; [`Simulation::run`]
 /// executes them in timestamp order (insertion order on ties) while
 /// advancing the clock. Closures receive `&mut Simulation` so they can
 /// schedule follow-up events; shared world state lives in
@@ -174,7 +191,7 @@ fn bucket(diff: u64) -> usize {
 /// ```
 pub struct Simulation {
     now: SimTime,
-    queue: EventQueue<Action>,
+    queue: EventQueue<Box<dyn Event>>,
     executed: u64,
     pending_hwm: usize,
 }
@@ -235,12 +252,23 @@ impl Simulation {
     where
         F: FnOnce(&mut Simulation) + 'static,
     {
+        self.schedule_event(at, Box::new(action));
+    }
+
+    /// Schedules an already boxed `event` to fire at absolute time `at`.
+    /// An event re-queuing itself for a later stage passes its own box
+    /// back here, which allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past (before [`Simulation::now`]).
+    pub fn schedule_event(&mut self, at: SimTime, event: Box<dyn Event>) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < {}",
             self.now
         );
-        self.queue.push(at.as_nanos(), Box::new(action));
+        self.queue.push(at.as_nanos(), event);
         self.pending_hwm = self.pending_hwm.max(self.queue.len());
     }
 
@@ -275,11 +303,11 @@ impl Simulation {
     /// Executes the next event if it is due at or before `deadline`.
     fn step_until(&mut self, deadline: u64) -> bool {
         match self.queue.pop_until(deadline) {
-            Some((at, action)) => {
+            Some((at, event)) => {
                 debug_assert!(at >= self.now.as_nanos(), "clock must be monotonic");
                 self.now = SimTime::from_nanos(at);
                 self.executed += 1;
-                action(self);
+                event.fire(self);
                 true
             }
             None => false,
@@ -326,6 +354,46 @@ mod tests {
         let end = sim.run();
         assert_eq!(*seen.borrow(), vec![1_000, 3_000]);
         assert_eq!(end, SimTime::from_nanos(3_000));
+    }
+
+    #[test]
+    fn a_typed_event_requeues_its_own_box_in_fifo_order() {
+        type Log = Rc<RefCell<Vec<(u64, &'static str)>>>;
+        struct Stages {
+            left: u32,
+            log: Log,
+        }
+        impl Event for Stages {
+            fn fire(mut self: Box<Self>, sim: &mut Simulation) {
+                self.log.borrow_mut().push((sim.now().as_nanos(), "stage"));
+                if self.left > 0 {
+                    self.left -= 1;
+                    let at = sim.now() + SimDuration::from_nanos(10);
+                    sim.schedule_event(at, self);
+                }
+            }
+        }
+        let log: Log = Rc::default();
+        let mut sim = Simulation::new();
+        sim.schedule_event(
+            SimTime::ZERO,
+            Box::new(Stages {
+                left: 2,
+                log: log.clone(),
+            }),
+        );
+        let l = log.clone();
+        sim.schedule_at(SimTime::from_nanos(10), move |sim| {
+            l.borrow_mut().push((sim.now().as_nanos(), "closure"));
+        });
+        sim.run();
+        // The closure was queued for 10 ns before the event re-queued
+        // itself there, so it runs first.
+        assert_eq!(
+            *log.borrow(),
+            vec![(0, "stage"), (10, "closure"), (10, "stage"), (20, "stage")]
+        );
+        assert_eq!(sim.events_executed(), 4);
     }
 
     #[test]

@@ -44,8 +44,8 @@ mod tracebus;
 
 pub use cluster::{ClusterProfile, CpuProfile, TransportKind};
 pub use compute::{trace_codec, ComputeModel};
-pub use engine::Simulation;
-pub use net::{Delivery, NetConfig, Network, NodeId, WireProtocol};
+pub use engine::{Event, Simulation};
+pub use net::{Delivery, NetConfig, Network, NodeId, Serve, WireProtocol};
 pub use resource::{FifoResource, QueueCap, WorkerPool};
 pub use rng::SimRng;
 pub use span::{OpAttribution, SlowOp, Span, SpanCollector, SpanOpClass, SpanPhase};

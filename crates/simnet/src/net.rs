@@ -20,7 +20,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::engine::Simulation;
+use crate::engine::{Event, Simulation};
 use crate::resource::FifoResource;
 use crate::rng::SimRng;
 use crate::span::SpanPhase;
@@ -339,10 +339,460 @@ impl Network {
     /// callback fires after [`NetConfig::failure_detect`] with
     /// [`Delivery::TargetDead`].
     ///
+    /// The message is one heap object: it is queued at `start`, at its
+    /// arrival and at its delivery (or at the failure report) by
+    /// re-queuing its own box.
+    ///
     /// # Panics
     ///
     /// Panics if `start` is in the past or either node id is out of range.
     pub fn send<F>(
+        net: &Rc<RefCell<Network>>,
+        sim: &mut Simulation,
+        start: SimTime,
+        from: NodeId,
+        to: NodeId,
+        bytes: usize,
+        on_complete: F,
+    ) where
+        F: FnOnce(&mut Simulation, Delivery) + 'static,
+    {
+        Transfer::launch(net, sim, start, from, to, bytes, on_complete);
+    }
+
+    /// A request/reply exchange carried by one heap object for both legs.
+    ///
+    /// The request of `bytes` goes from `from` to `to` as with
+    /// [`Network::send`]. When it is delivered, `serve` runs at the
+    /// delivery instant, inside the request's span scope, and decides the
+    /// answer: [`Serve::Reply`] sends a reply leg back from `to` to
+    /// `from`, starting at its `at`; [`Serve::Drop`] answers nothing.
+    ///
+    /// `on_reply` fires once: with `Ok((reply, delivery))` when the reply
+    /// leg ends (delivered, or the caller found dead), or with
+    /// `Err(instant)` when the request found `to` dead. After
+    /// [`Serve::Drop`] it never fires.
+    ///
+    /// Every stage is queued at the instant and in the order a `send`
+    /// from the request's completion callback would queue it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is in the past, either node id is out of range,
+    /// or `serve` replies at an instant before the request's delivery.
+    #[allow(clippy::too_many_arguments)] // a call is naturally wide: route + size + both continuations
+    pub fn call<S, R, G>(
+        net: &Rc<RefCell<Network>>,
+        sim: &mut Simulation,
+        start: SimTime,
+        from: NodeId,
+        to: NodeId,
+        bytes: usize,
+        serve: S,
+        on_reply: G,
+    ) where
+        S: FnOnce(&mut Simulation, SimTime) -> Serve<R> + 'static,
+        R: 'static,
+        G: FnOnce(&mut Simulation, Result<(R, Delivery), SimTime>) + 'static,
+    {
+        let landing = Call::Request { serve, on_reply };
+        Transfer::launch(net, sim, start, from, to, bytes, landing);
+    }
+
+    /// The sender's side of a transfer, at its start instant `now`: books
+    /// the message, then either reports the target dead or reserves the
+    /// sender's NIC and works out when the bytes arrive.
+    fn depart(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        bytes: usize,
+        span_op: Option<u64>,
+    ) -> Stage {
+        let n = self;
+        assert!(
+            from.0 < n.nodes.len() && to.0 < n.nodes.len(),
+            "bad node id"
+        );
+        n.messages_sent += 1;
+        n.bytes_sent += bytes as u64;
+        if !n.nodes[to.0].alive {
+            let at = now + n.cfg.failure_detect;
+            if n.trace.is_enabled() {
+                n.trace
+                    .emit(at, TraceEvent::FailureDetected { node: to, by: from });
+                n.trace.counter_add(from, "failure_detects", 1);
+            }
+            if let Some(op) = span_op {
+                n.trace
+                    .span_record_for(op, SpanPhase::FailDetect, from, now, at);
+            }
+            let trace = n.trace.clone();
+            return Stage::Dead { at, trace };
+        }
+        let traced = n.trace.is_enabled();
+        if traced {
+            n.trace.emit(
+                now,
+                TraceEvent::ShardSend {
+                    from,
+                    to,
+                    bytes: bytes as u64,
+                },
+            );
+        }
+        let wire = n.cfg.wire_time(bytes);
+        let overhead = n.cfg.protocol_overhead(bytes);
+        let latency = n.cfg.latency;
+        // Straggler injection: each endpoint's share of the transfer is
+        // scaled by that node's slowdown factor, and degraded endpoints
+        // add a seeded jitter to propagation. Healthy transfers take
+        // the `factor == 1.0` fast path and draw no random numbers.
+        let from_slow = n.slow_factor(from);
+        let to_slow = n.slow_factor(to);
+        let jitter = {
+            let mut j = draw_jitter(&mut n.nodes[from.0].straggler);
+            if to != from {
+                j += draw_jitter(&mut n.nodes[to.0].straggler);
+            }
+            j
+        };
+        let tx_wire = scale_duration(wire, from_slow);
+        let rx_wire = scale_duration(wire, to_slow);
+        // Rendezvous pays its RTS/CTS handshake and registration
+        // *before* the bulk transfer starts (sender side); eager pays a
+        // receive-side bounce-buffer copy, which the receiver's polling
+        // loop performs in arrival order (so it serializes on the rx
+        // side).
+        let (tx_start, rx_extra) = match n.cfg.protocol_for(bytes) {
+            WireProtocol::Rendezvous => {
+                (now + scale_duration(overhead, from_slow), SimDuration::ZERO)
+            }
+            WireProtocol::Eager => (now, scale_duration(overhead, to_slow)),
+        };
+        // Sender serializes the payload onto the wire... The backlog
+        // ledger is compacted at the same instant the queue-enter event
+        // is stamped with, so the emitted depth sees exactly the
+        // still-outstanding transmissions.
+        n.nodes[from.0].tx.prune(tx_start);
+        let tx_free = n.nodes[from.0].tx.free_at();
+        let tx_done = n.nodes[from.0].tx.reserve(tx_start, tx_wire);
+        if traced {
+            let depth = n.nodes[from.0].tx.queue_depth(tx_start);
+            let hwm = n.nodes[from.0].tx.queue_hwm();
+            let waited = tx_free.max(tx_start).since(tx_start);
+            n.trace.emit(
+                tx_start,
+                TraceEvent::NicQueueEnter {
+                    node: from,
+                    dir: NicDir::Tx,
+                    depth,
+                },
+            );
+            n.trace.emit(
+                tx_done,
+                TraceEvent::NicQueueExit {
+                    node: from,
+                    dir: NicDir::Tx,
+                    waited,
+                },
+            );
+            n.trace.counter_add(from, "nic_tx_msgs", 1);
+            n.trace.counter_add(from, "nic_tx_bytes", bytes as u64);
+            n.trace
+                .counter_add(from, "nic_tx_busy_ns", tx_wire.as_nanos());
+            n.trace.counter_max(from, "nic_tx_queue_hwm", hwm);
+        }
+        // ...it propagates, then the receiver NIC drains and (for
+        // eager) copies it out. The rx reservation is made *when the
+        // bytes arrive*, not at send time: the receiver NIC serves
+        // flows in arrival order, so a slow sender's late transfer
+        // cannot head-of-line-block a faster one issued after it.
+        let arrival = tx_done + latency + jitter;
+        let rx_cost = rx_wire + rx_extra;
+        if let Some(op) = span_op {
+            // Sender-side phases: protocol setup (rendezvous RTS/CTS),
+            // queue wait behind earlier transfers, then serialization.
+            let tx_svc = tx_free.max(tx_start);
+            let t = &n.trace;
+            t.span_record_for(op, SpanPhase::NetProto, from, now, tx_start);
+            t.span_record_for(op, SpanPhase::TxQueue, from, tx_start, tx_svc);
+            t.span_record_for(op, SpanPhase::Tx, from, tx_svc, tx_done);
+            t.span_record_for(op, SpanPhase::Propagate, to, tx_done, arrival);
+        }
+        Stage::Arrive {
+            arrival,
+            rx_cost,
+            traced,
+        }
+    }
+
+    /// The receiver's side of a transfer, at its `arrival`: reserves the
+    /// receiver's NIC in arrival order and works out the delivery instant.
+    fn arrive(
+        &mut self,
+        arrival: SimTime,
+        to: NodeId,
+        bytes: usize,
+        rx_cost: SimDuration,
+        traced: bool,
+        span_op: Option<u64>,
+    ) -> Stage {
+        let n = self;
+        n.nodes[to.0].rx.prune(arrival);
+        let rx_free = n.nodes[to.0].rx.free_at();
+        let delivered = n.nodes[to.0].rx.reserve(arrival, rx_cost);
+        if traced {
+            let depth = n.nodes[to.0].rx.queue_depth(arrival);
+            let hwm = n.nodes[to.0].rx.queue_hwm();
+            let waited = rx_free.max(arrival).since(arrival);
+            n.trace.emit(
+                arrival,
+                TraceEvent::NicQueueEnter {
+                    node: to,
+                    dir: NicDir::Rx,
+                    depth,
+                },
+            );
+            n.trace.emit(
+                delivered,
+                TraceEvent::NicQueueExit {
+                    node: to,
+                    dir: NicDir::Rx,
+                    waited,
+                },
+            );
+            n.trace.counter_add(to, "nic_rx_msgs", 1);
+            n.trace.counter_add(to, "nic_rx_bytes", bytes as u64);
+            n.trace
+                .counter_add(to, "nic_rx_busy_ns", rx_cost.as_nanos());
+            n.trace.counter_max(to, "nic_rx_queue_hwm", hwm);
+        }
+        if let Some(op) = span_op {
+            // Receiver-side phases: queue wait in arrival order,
+            // then drain (plus the eager bounce-buffer copy).
+            let rx_svc = rx_free.max(arrival);
+            n.trace
+                .span_record_for(op, SpanPhase::RxQueue, to, arrival, rx_svc);
+            n.trace
+                .span_record_for(op, SpanPhase::Rx, to, rx_svc, delivered);
+        }
+        let trace = n.trace.clone();
+        Stage::Deliver { delivered, trace }
+    }
+}
+
+/// What the server side of a [`Network::call`] does with a delivered
+/// request.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Serve<R> {
+    /// Send `bytes` back to the caller, starting at `at` (no earlier than
+    /// the request's delivery); `reply` reaches the caller's `on_reply`
+    /// with the reply leg's outcome.
+    Reply {
+        /// When the reply leg starts.
+        at: SimTime,
+        /// Reply payload size.
+        bytes: usize,
+        /// What the caller is told.
+        reply: R,
+    },
+    /// Answer nothing; the caller's `on_reply` never fires.
+    Drop,
+}
+
+/// Where a message in flight is queued next.
+enum Stage {
+    /// At its start instant: the sender's side runs.
+    Start,
+    /// The target was dead; the error surfaces at `at`.
+    Dead { at: SimTime, trace: Trace },
+    /// On the wire; the bytes reach the receiver at `arrival`.
+    Arrive {
+        arrival: SimTime,
+        rx_cost: SimDuration,
+        traced: bool,
+    },
+    /// Drained by the receiver's NIC; delivered at `delivered`.
+    Deliver { delivered: SimTime, trace: Trace },
+}
+
+/// What happens when a leg of a message ends.
+trait Landing: Sized + 'static {
+    /// Runs at the end of a leg, inside the leg's span scope. Returns the
+    /// reply leg to send back along the reversed route, if any: its start
+    /// instant, its size and what to do when it lands.
+    fn land(self, sim: &mut Simulation, d: Delivery) -> Option<(SimTime, usize, Self)>;
+}
+
+/// A one-way message: its completion callback ends it.
+impl<F: FnOnce(&mut Simulation, Delivery) + 'static> Landing for F {
+    fn land(self, sim: &mut Simulation, d: Delivery) -> Option<(SimTime, usize, Self)> {
+        self(sim, d);
+        None
+    }
+}
+
+/// The two legs of a [`Network::call`].
+enum Call<S, R, G> {
+    /// The request is in flight.
+    Request { serve: S, on_reply: G },
+    /// The reply is in flight.
+    Reply { reply: R, on_reply: G },
+}
+
+impl<S, R, G> Landing for Call<S, R, G>
+where
+    S: FnOnce(&mut Simulation, SimTime) -> Serve<R> + 'static,
+    R: 'static,
+    G: FnOnce(&mut Simulation, Result<(R, Delivery), SimTime>) + 'static,
+{
+    fn land(self, sim: &mut Simulation, d: Delivery) -> Option<(SimTime, usize, Self)> {
+        match self {
+            Call::Request { serve, on_reply } => match d {
+                Delivery::TargetDead(t) => {
+                    on_reply(sim, Err(t));
+                    None
+                }
+                Delivery::Delivered(at) => match serve(sim, at) {
+                    Serve::Reply { at, bytes, reply } => {
+                        Some((at, bytes, Call::Reply { reply, on_reply }))
+                    }
+                    Serve::Drop => None,
+                },
+            },
+            Call::Reply { reply, on_reply } => {
+                on_reply(sim, Ok((reply, d)));
+                None
+            }
+        }
+    }
+}
+
+/// One message in flight, as a single heap object: the route, the leg's
+/// timing and what happens when it lands. It re-queues its own box from
+/// stage to stage, and from a request leg to its reply leg.
+struct Transfer<L> {
+    net: Rc<RefCell<Network>>,
+    from: NodeId,
+    to: NodeId,
+    bytes: usize,
+    /// The op span scope ambient where the leg was sent; re-established
+    /// around the landing.
+    span_op: Option<u64>,
+    stage: Stage,
+    /// Taken while the landing runs.
+    landing: Option<L>,
+}
+
+impl<L: Landing> Transfer<L> {
+    /// Queues a new message at `start`.
+    fn launch(
+        net: &Rc<RefCell<Network>>,
+        sim: &mut Simulation,
+        start: SimTime,
+        from: NodeId,
+        to: NodeId,
+        bytes: usize,
+        landing: L,
+    ) {
+        // Causal span propagation: the op scope is ambient only while the
+        // caller runs, so capture it here and re-establish it around the
+        // landing. Resolves to `None` in a single cheap branch when
+        // tracing or spans are off.
+        let span_op = net.borrow().trace.span_scope();
+        let transfer = Transfer {
+            net: net.clone(),
+            from,
+            to,
+            bytes,
+            span_op,
+            stage: Stage::Start,
+            landing: Some(landing),
+        };
+        sim.schedule_event(start, Box::new(transfer));
+    }
+}
+
+impl<L: Landing> Event for Transfer<L> {
+    fn fire(mut self: Box<Self>, sim: &mut Simulation) {
+        let now = sim.now();
+        let (d, trace) = match std::mem::replace(&mut self.stage, Stage::Start) {
+            Stage::Start => {
+                let next =
+                    self.net
+                        .borrow_mut()
+                        .depart(now, self.from, self.to, self.bytes, self.span_op);
+                let at = match next {
+                    Stage::Dead { at, .. } => at,
+                    Stage::Arrive { arrival, .. } => arrival,
+                    Stage::Start | Stage::Deliver { .. } => unreachable!("depart ends on the wire"),
+                };
+                self.stage = next;
+                sim.schedule_event(at, self);
+                return;
+            }
+            Stage::Arrive {
+                arrival,
+                rx_cost,
+                traced,
+            } => {
+                let next = self.net.borrow_mut().arrive(
+                    arrival,
+                    self.to,
+                    self.bytes,
+                    rx_cost,
+                    traced,
+                    self.span_op,
+                );
+                let Stage::Deliver { delivered, .. } = next else {
+                    unreachable!("arrive ends in delivery")
+                };
+                self.stage = next;
+                sim.schedule_event(delivered, self);
+                return;
+            }
+            Stage::Dead { at, trace } => (Delivery::TargetDead(at), trace),
+            Stage::Deliver { delivered, trace } => {
+                trace.emit(
+                    delivered,
+                    TraceEvent::ShardRecv {
+                        from: self.from,
+                        to: self.to,
+                        bytes: self.bytes as u64,
+                    },
+                );
+                (Delivery::Delivered(delivered), trace)
+            }
+        };
+        let prev = trace.set_span_scope(self.span_op);
+        let landing = self.landing.take().expect("a leg lands once");
+        if let Some((start, bytes, reply)) = landing.land(sim, d) {
+            // The reply leg leaves from where the request landed, in the
+            // span scope ambient there, queued just as a `send` from the
+            // landing would be.
+            self.span_op = self.net.borrow().trace.span_scope();
+            std::mem::swap(&mut self.from, &mut self.to);
+            self.bytes = bytes;
+            self.landing = Some(reply);
+            sim.schedule_event(start, self);
+        }
+        trace.set_span_scope(prev);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::span::SpanOpClass;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// The transport as it was before messages became one heap object:
+    /// three boxed closures per send (start, arrival, delivery). Kept as
+    /// the reference [`Network::send`] and [`Network::call`] must match.
+    fn send_closures<F>(
         net: &Rc<RefCell<Network>>,
         sim: &mut Simulation,
         start: SimTime,
@@ -538,13 +988,264 @@ impl Network {
             });
         });
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    /// [`Network::call`] as the RPC layer composed it from
+    /// [`send_closures`]: the reply is a nested send from the request's
+    /// completion callback.
+    #[allow(clippy::too_many_arguments)]
+    fn call_closures<S, R, G>(
+        net: &Rc<RefCell<Network>>,
+        sim: &mut Simulation,
+        start: SimTime,
+        from: NodeId,
+        to: NodeId,
+        bytes: usize,
+        serve: S,
+        on_reply: G,
+    ) where
+        S: FnOnce(&mut Simulation, SimTime) -> Serve<R> + 'static,
+        R: 'static,
+        G: FnOnce(&mut Simulation, Result<(R, Delivery), SimTime>) + 'static,
+    {
+        let net2 = net.clone();
+        send_closures(net, sim, start, from, to, bytes, move |sim, d| match d {
+            Delivery::TargetDead(t) => on_reply(sim, Err(t)),
+            Delivery::Delivered(at) => match serve(sim, at) {
+                Serve::Reply { at, bytes, reply } => {
+                    send_closures(&net2, sim, at, to, from, bytes, move |sim, d2| {
+                        on_reply(sim, Ok((reply, d2)))
+                    });
+                }
+                Serve::Drop => {}
+            },
+        });
+    }
+
+    /// Shared state of one oracle scenario run.
+    struct Harness {
+        net: Rc<RefCell<Network>>,
+        trace: Trace,
+        rng: RefCell<SimRng>,
+        log: RefCell<Vec<String>>,
+        one_box: bool,
+        next_id: std::cell::Cell<u64>,
+        /// Every span op opened, to close at the end.
+        ops: RefCell<Vec<u64>>,
+    }
+
+    impl Harness {
+        fn draw(&self, bound: u64) -> u64 {
+            self.rng.borrow_mut().next_below(bound)
+        }
+
+        fn note(&self, sim: &Simulation, what: String) {
+            // An event on the bus too, ordered against the transport's.
+            let line = self.log.borrow().len() as u64;
+            self.trace.emit(
+                sim.now(),
+                TraceEvent::HedgeFired {
+                    client: NodeId(0),
+                    extra: line,
+                },
+            );
+            let scope = self.trace.span_scope();
+            self.log
+                .borrow_mut()
+                .push(format!("{} {what} scope={scope:?}", sim.now().as_nanos()));
+        }
+
+        /// A message size on either side of the eager threshold.
+        fn size(&self) -> usize {
+            match self.draw(3) {
+                0 => self.draw(512) as usize,
+                1 => 8 << 10,
+                _ => (16 << 10) + self.draw(200 << 10) as usize,
+            }
+        }
+
+        /// Issues one send or call from the current instant, maybe
+        /// nesting further messages in its callbacks.
+        fn issue(self: &Rc<Self>, sim: &mut Simulation, depth: u32) {
+            let id = self.next_id.get();
+            self.next_id.set(id + 1);
+            let nodes = self.net.borrow().len() as u64;
+            let from = NodeId(self.draw(nodes) as usize);
+            let to = NodeId(self.draw(nodes) as usize);
+            let start = sim.now() + SimDuration::from_nanos(self.draw(3) * self.draw(4_000));
+            let bytes = self.size();
+            if self.draw(2) == 0 {
+                let h = self.clone();
+                let done = move |sim: &mut Simulation, d: Delivery| {
+                    h.note(sim, format!("send#{id} {d:?}"));
+                    if depth < 3 && h.draw(3) == 0 {
+                        h.issue(sim, depth + 1);
+                    }
+                };
+                if self.one_box {
+                    Network::send(&self.net, sim, start, from, to, bytes, done);
+                } else {
+                    send_closures(&self.net, sim, start, from, to, bytes, done);
+                }
+                return;
+            }
+            let h = self.clone();
+            let serve = move |sim: &mut Simulation, at: SimTime| {
+                h.note(sim, format!("serve#{id} at={}", at.as_nanos()));
+                h.trace
+                    .span_record(SpanPhase::SrvCpu, to, at, at + SimDuration::from_nanos(7));
+                // Sometimes the server side moves the ambient scope; the
+                // reply leg must carry the scope it leaves in.
+                if h.draw(4) == 0 {
+                    let op = h.trace.span_begin_op(SpanOpClass::Repair, at);
+                    h.ops.borrow_mut().extend(op);
+                    h.trace.set_span_scope(op);
+                }
+                match h.draw(4) {
+                    // A cancelled request: dropped at the server.
+                    0 => Serve::Drop,
+                    // Shed: a status-only refusal at the delivery instant.
+                    1 => Serve::Reply {
+                        at,
+                        bytes: 32,
+                        reply: "shed",
+                    },
+                    // Served later, with an unrelated event queued at the
+                    // reply's start instant ahead of the reply leg.
+                    _ => {
+                        let later = at + SimDuration::from_nanos(h.draw(5_000));
+                        let h2 = h.clone();
+                        sim.schedule_at(later, move |sim| h2.note(sim, format!("tick#{id}")));
+                        if h.draw(3) == 0 {
+                            h.issue(sim, depth + 1);
+                        }
+                        Serve::Reply {
+                            at: later,
+                            bytes: h.size(),
+                            reply: "served",
+                        }
+                    }
+                }
+            };
+            let h = self.clone();
+            let on_reply = move |sim: &mut Simulation, r: Result<(&str, Delivery), SimTime>| {
+                h.note(sim, format!("reply#{id} {r:?}"));
+                if depth < 3 && h.draw(3) == 0 {
+                    h.issue(sim, depth + 1);
+                }
+            };
+            if self.one_box {
+                Network::call(&self.net, sim, start, from, to, bytes, serve, on_reply);
+            } else {
+                call_closures(&self.net, sim, start, from, to, bytes, serve, on_reply);
+            }
+        }
+    }
+
+    /// Everything observable about one scenario run.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        log: Vec<String>,
+        nic_busy: Vec<(SimDuration, SimDuration)>,
+        messages_sent: u64,
+        bytes_sent: u64,
+        jsonl: String,
+        spans: String,
+        events: u64,
+    }
+
+    fn oracle_scenario(seed: u64, one_box: bool) -> Observed {
+        let sink = Rc::new(RefCell::new(crate::tracebus::JsonlSink::new()));
+        let mut bus = crate::tracebus::TraceBus::new();
+        bus.add_sink(sink.clone());
+        bus.enable_spans(100_000);
+        let trace = Trace::from_bus(bus);
+        let net = Network::new(6, test_cfg());
+        {
+            let mut n = net.borrow_mut();
+            n.set_trace(trace.clone());
+            n.kill(NodeId(5));
+            n.set_straggler(
+                SimTime::ZERO,
+                NodeId(3),
+                2.5,
+                SimDuration::from_micros(3),
+                seed,
+            );
+            n.set_straggler(
+                SimTime::ZERO,
+                NodeId(4),
+                1.0,
+                SimDuration::from_micros(9),
+                !seed,
+            );
+        }
+        let h = Rc::new(Harness {
+            net: net.clone(),
+            trace: trace.clone(),
+            rng: RefCell::new(SimRng::seed_from_u64(seed)),
+            log: RefCell::default(),
+            one_box,
+            next_id: std::cell::Cell::new(0),
+            ops: RefCell::default(),
+        });
+        let mut sim = Simulation::new();
+        for _ in 0..60 {
+            let at = SimTime::from_nanos(h.draw(3) * h.draw(200_000));
+            let h = h.clone();
+            sim.schedule_at(at, move |sim| {
+                // Half the roots run inside an op's span scope.
+                let op = if h.draw(2) == 0 {
+                    h.trace.span_begin_op(SpanOpClass::Get, sim.now())
+                } else {
+                    None
+                };
+                h.ops.borrow_mut().extend(op);
+                let prev = h.trace.set_span_scope(op);
+                for _ in 0..=h.draw(3) {
+                    h.issue(sim, 0);
+                }
+                h.trace.set_span_scope(prev);
+            });
+        }
+        let end = sim.run();
+        for &op in h.ops.borrow().iter() {
+            trace.span_end_op(op, end, true);
+        }
+        let n = net.borrow();
+        let spans = trace
+            .with_bus(|b| b.spans().expect("spans on").perfetto_json(usize::MAX))
+            .expect("bus on");
+        let jsonl = sink.borrow().contents().to_owned();
+        let log = h.log.borrow().clone();
+        Observed {
+            log,
+            nic_busy: (0..n.len()).map(|i| n.nic_busy(NodeId(i))).collect(),
+            messages_sent: n.messages_sent(),
+            bytes_sent: n.bytes_sent(),
+            jsonl,
+            spans,
+            events: sim.events_executed(),
+        }
+    }
+
+    #[test]
+    fn one_box_transport_matches_the_closure_oracle() {
+        let mut kinds = [0usize; 4];
+        for seed in 0..12u64 {
+            let reference = oracle_scenario(seed, false);
+            let one_box = oracle_scenario(seed, true);
+            assert_eq!(one_box.log, reference.log, "seed {seed}: callback order");
+            assert_eq!(one_box, reference, "seed {seed}");
+            for line in &reference.log {
+                for (i, k) in ["TargetDead", "shed", "served", "Err("].iter().enumerate() {
+                    kinds[i] += usize::from(line.contains(k));
+                }
+            }
+        }
+        // The scenarios reached dead endpoints, shed and served calls and
+        // requests to dead servers.
+        assert!(kinds.iter().all(|&k| k > 0), "{kinds:?}");
+    }
 
     fn test_cfg() -> NetConfig {
         NetConfig {

@@ -9,7 +9,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use eckv_simnet::{Delivery, Network, NodeId, SimTime, Simulation};
+use eckv_simnet::{Delivery, Network, NodeId, Serve, SimTime, Simulation};
 
 use crate::payload::Payload;
 use crate::server::KvServer;
@@ -102,70 +102,67 @@ pub fn set<F>(
 {
     let server_node = server.borrow().node();
     let request_bytes = REQUEST_OVERHEAD + key.len() + payload.len() as usize;
-    let net2 = net.clone();
     let server = server.clone();
-    Network::send(
+    Network::call(
         net,
         sim,
         start,
         client,
         server_node,
         request_bytes,
-        move |sim, delivery| match delivery {
-            Delivery::TargetDead(t) => on_reply(sim, Err(RpcError::ServerDead(t))),
-            Delivery::Delivered(at) => {
-                if !server.borrow_mut().admit(at, prio) {
-                    shed_reply(&net2, sim, at, server_node, client, move |sim, t| {
-                        on_reply(sim, Err(RpcError::Shed(t)))
-                    });
-                    return;
-                }
-                let (done, outcome) = server.borrow_mut().process_set(at, key, payload);
-                Network::send(
-                    &net2,
-                    sim,
-                    done,
-                    server_node,
-                    client,
-                    ACK_BYTES,
-                    move |sim, d2| match d2 {
-                        Delivery::TargetDead(t) => on_reply(sim, Err(RpcError::ServerDead(t))),
-                        Delivery::Delivered(at) => on_reply(sim, Ok(SetReply { at, outcome })),
-                    },
-                );
+        move |_, at| {
+            if !server.borrow_mut().admit(at, prio) {
+                return shed(at);
             }
+            let (done, outcome) = server.borrow_mut().process_set(at, key, payload);
+            Serve::Reply {
+                at: done,
+                bytes: ACK_BYTES,
+                reply: Answer::Served(outcome),
+            }
+        },
+        move |sim, end| {
+            on_reply(
+                sim,
+                end.map_err(RpcError::ServerDead)
+                    .and_then(|(answer, d)| answer.settle(d))
+                    .map(|(at, outcome)| SetReply { at, outcome }),
+            )
         },
     );
 }
 
-/// Sends the status-only refusal ack of a shed request back to the
-/// client. The refusal reserves no server worker time — that is what
-/// makes shedding cheaper than serving — so the only cost is the ack's
-/// wire crossing.
-fn shed_reply<F>(
-    net: &Rc<RefCell<Network>>,
-    sim: &mut Simulation,
-    at: SimTime,
-    server_node: NodeId,
-    client: NodeId,
-    on_reply: F,
-) where
-    F: FnOnce(&mut Simulation, SimTime) + 'static,
-{
-    Network::send(
-        net,
-        sim,
+/// The server's answer to a request, carried back on the reply leg.
+enum Answer<T> {
+    /// The request was processed.
+    Served(T),
+    /// Admission refused the request.
+    Shed,
+}
+
+impl<T> Answer<T> {
+    /// What the caller learns once the reply leg ends: a refusal is a
+    /// shed whatever became of its ack, a served reply needs its ack
+    /// delivered.
+    fn settle(self, d: Delivery) -> Result<(SimTime, T), RpcError> {
+        match (self, d) {
+            (Answer::Shed, d) => Err(RpcError::Shed(d.at())),
+            (Answer::Served(_), Delivery::TargetDead(t)) => Err(RpcError::ServerDead(t)),
+            (Answer::Served(v), Delivery::Delivered(at)) => Ok((at, v)),
+        }
+    }
+}
+
+/// The status-only refusal of a shed request, sent at the delivery
+/// instant. It reserves no server worker time — that is what makes
+/// shedding cheaper than serving — so the only cost is the ack's wire
+/// crossing.
+fn shed<T>(at: SimTime) -> Serve<Answer<T>> {
+    Serve::Reply {
         at,
-        server_node,
-        client,
-        ACK_BYTES,
-        move |sim, d2| {
-            let t = match d2 {
-                Delivery::TargetDead(t) | Delivery::Delivered(t) => t,
-            };
-            on_reply(sim, t);
-        },
-    );
+        bytes: ACK_BYTES,
+        reply: Answer::Shed,
+    }
 }
 
 /// A shared cancellation flag for speculative (hedged) requests. The
@@ -240,42 +237,36 @@ pub fn get_with_cancel<F>(
 {
     let server_node = server.borrow().node();
     let request_bytes = REQUEST_OVERHEAD + key.len();
-    let net2 = net.clone();
     let server = server.clone();
-    Network::send(
+    Network::call(
         net,
         sim,
         start,
         client,
         server_node,
         request_bytes,
-        move |sim, delivery| match delivery {
-            Delivery::TargetDead(t) => on_reply(sim, Err(RpcError::ServerDead(t))),
-            Delivery::Delivered(at) => {
-                if cancel.is_cancelled() {
-                    return;
-                }
-                if !server.borrow_mut().admit(at, prio) {
-                    shed_reply(&net2, sim, at, server_node, client, move |sim, t| {
-                        on_reply(sim, Err(RpcError::Shed(t)))
-                    });
-                    return;
-                }
-                let (done, value) = server.borrow_mut().process_get(at, &key);
-                let response_bytes = ACK_BYTES + value.as_ref().map_or(0, |v| v.len() as usize);
-                Network::send(
-                    &net2,
-                    sim,
-                    done,
-                    server_node,
-                    client,
-                    response_bytes,
-                    move |sim, d2| match d2 {
-                        Delivery::TargetDead(t) => on_reply(sim, Err(RpcError::ServerDead(t))),
-                        Delivery::Delivered(at) => on_reply(sim, Ok(GetReply { at, value })),
-                    },
-                );
+        move |_, at| {
+            if cancel.is_cancelled() {
+                return Serve::Drop;
             }
+            if !server.borrow_mut().admit(at, prio) {
+                return shed(at);
+            }
+            let (done, value) = server.borrow_mut().process_get(at, &key);
+            let response_bytes = ACK_BYTES + value.as_ref().map_or(0, |v| v.len() as usize);
+            Serve::Reply {
+                at: done,
+                bytes: response_bytes,
+                reply: Answer::Served(value),
+            }
+        },
+        move |sim, end| {
+            on_reply(
+                sim,
+                end.map_err(RpcError::ServerDead)
+                    .and_then(|(answer, d)| answer.settle(d))
+                    .map(|(at, value)| GetReply { at, value }),
+            )
         },
     );
 }

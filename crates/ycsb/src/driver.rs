@@ -1,6 +1,7 @@
 //! Multi-client YCSB driver over the resilient KV engine.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use eckv_core::{driver, ops::Op, World};
 use eckv_simnet::{SimRng, Simulation, Summary};
@@ -45,25 +46,53 @@ pub struct YcsbReport {
     pub errors: u64,
 }
 
-fn record_of(chooser: &mut KeyChooser, rng: &mut eckv_simnet::SimRng) -> u64 {
-    chooser.next(rng)
+/// Builds the YCSB key of `record` in `buf` and copies it into its one
+/// shared allocation.
+fn shared_key(buf: &mut String, record: u64) -> Arc<str> {
+    use std::fmt::Write;
+    buf.clear();
+    // 16-byte keys as in the paper ("user" + zero-padded id).
+    write!(buf, "user{record:012}").expect("writing to a String cannot fail");
+    Arc::from(buf.as_str())
 }
 
-/// YCSB key format.
-fn key_for(record: u64) -> String {
-    // 16-byte keys as in the paper ("user" + zero-padded id).
-    format!("user{record:012}")
+/// The keys of the loaded records, built once each; every op on a
+/// record clones its key's `Arc`.
+struct RecordKeys {
+    loaded: Vec<Arc<str>>,
+    buf: String,
+}
+
+impl RecordKeys {
+    fn new(record_count: u64) -> Self {
+        let mut buf = String::new();
+        let loaded = (0..record_count).map(|r| shared_key(&mut buf, r)).collect();
+        RecordKeys { loaded, buf }
+    }
+
+    /// The key of `record`. Records inserted past the loaded set
+    /// (workload D) get a key of their own.
+    fn key(&mut self, record: u64) -> Arc<str> {
+        match usize::try_from(record)
+            .ok()
+            .and_then(|r| self.loaded.get(r))
+        {
+            Some(key) => key.clone(),
+            None => shared_key(&mut self.buf, record),
+        }
+    }
 }
 
 /// Builds the load-phase streams: the records split evenly across clients.
 pub fn load_ops(cfg: &YcsbConfig) -> Vec<Vec<Op>> {
     let per_client = cfg.record_count.div_ceil(cfg.clients as u64);
+    let mut buf = String::new();
     (0..cfg.clients as u64)
         .map(|c| {
             let lo = c * per_client;
             let hi = ((c + 1) * per_client).min(cfg.record_count);
             (lo..hi)
-                .map(|r| Op::set_synthetic(key_for(r), cfg.value_len, r))
+                .map(|r| Op::set_synthetic(shared_key(&mut buf, r), cfg.value_len, r))
                 .collect()
         })
         .collect()
@@ -80,6 +109,7 @@ pub fn run_ops(cfg: &YcsbConfig) -> Vec<Vec<Op>> {
     } else {
         KeyChooser::Zipfian(ScrambledZipfian::new(cfg.record_count))
     };
+    let mut keys = RecordKeys::new(cfg.record_count);
     (0..cfg.clients)
         .map(|c| {
             let mut rng = root.fork();
@@ -90,18 +120,18 @@ pub fn run_ops(cfg: &YcsbConfig) -> Vec<Vec<Op>> {
             (0..cfg.ops_per_client)
                 .map(|i| {
                     if rng.next_f64() < cfg.workload.read_proportion() {
-                        Op::get(key_for(chooser.next(&mut rng)))
+                        Op::get(keys.key(chooser.next(&mut rng)))
                     } else if cfg.workload == Workload::D {
                         let record = next_insert;
                         next_insert += 1;
                         if let KeyChooser::Latest(l) = &mut chooser {
                             l.record_inserted();
                         }
-                        Op::set_synthetic(key_for(record), cfg.value_len, record)
+                        Op::set_synthetic(keys.key(record), cfg.value_len, record)
                     } else {
                         // Updates rewrite the whole value, new version.
                         Op::set_synthetic(
-                            key_for(record_of(&mut chooser, &mut rng)),
+                            keys.key(chooser.next(&mut rng)),
                             cfg.value_len,
                             (c as u64) << 32 | i,
                         )
@@ -162,6 +192,97 @@ mod tests {
             clients: 4,
             value_len: 4096,
             seed: 42,
+        }
+    }
+
+    /// The YCSB key format, one fresh `String` per call.
+    fn key_for(record: u64) -> String {
+        format!("user{record:012}")
+    }
+
+    /// `run_ops` as it was before keys were shared: a fresh `String` and
+    /// a fresh `Arc` for every op. The reference the shared-key streams
+    /// must equal op for op.
+    fn run_ops_reference(cfg: &YcsbConfig) -> Vec<Vec<Op>> {
+        let mut root = SimRng::seed_from_u64(cfg.seed);
+        let template = if cfg.workload == Workload::D {
+            KeyChooser::Latest(Latest::new(cfg.record_count))
+        } else {
+            KeyChooser::Zipfian(ScrambledZipfian::new(cfg.record_count))
+        };
+        (0..cfg.clients)
+            .map(|c| {
+                let mut rng = root.fork();
+                let mut chooser = template.clone();
+                let mut next_insert = cfg.record_count + c as u64 * cfg.ops_per_client;
+                (0..cfg.ops_per_client)
+                    .map(|i| {
+                        if rng.next_f64() < cfg.workload.read_proportion() {
+                            Op::get(key_for(chooser.next(&mut rng)))
+                        } else if cfg.workload == Workload::D {
+                            let record = next_insert;
+                            next_insert += 1;
+                            if let KeyChooser::Latest(l) = &mut chooser {
+                                l.record_inserted();
+                            }
+                            Op::set_synthetic(key_for(record), cfg.value_len, record)
+                        } else {
+                            Op::set_synthetic(
+                                key_for(chooser.next(&mut rng)),
+                                cfg.value_len,
+                                (c as u64) << 32 | i,
+                            )
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn op_key(op: &Op) -> &Arc<str> {
+        match op {
+            Op::Set { key, .. } | Op::Get { key } => key,
+            Op::MGet { .. } => panic!("YCSB streams hold no bulk gets"),
+        }
+    }
+
+    #[test]
+    fn shared_keys_keep_the_stream_and_share_allocations() {
+        for workload in [Workload::A, Workload::B, Workload::D] {
+            for seed in [42, 0x5EED_C0DE] {
+                let cfg = YcsbConfig {
+                    workload,
+                    seed,
+                    ..cfg(workload)
+                };
+                let shared = run_ops(&cfg);
+                let reference = run_ops_reference(&cfg);
+                assert_eq!(
+                    format!("{shared:?}"),
+                    format!("{reference:?}"),
+                    "{workload:?} seed {seed}"
+                );
+                // Two ops on one loaded record hold one allocation.
+                let ops: Vec<&Op> = shared.iter().flatten().collect();
+                let (a, b) = ops
+                    .iter()
+                    .enumerate()
+                    .find_map(|(i, a)| {
+                        let id: u64 = a.key()[4..].parse().ok()?;
+                        let b = ops[i + 1..].iter().find(|b| b.key() == a.key())?;
+                        (id < cfg.record_count).then_some((*a, *b))
+                    })
+                    .expect("a Zipfian stream revisits a record");
+                assert!(
+                    Arc::ptr_eq(op_key(a), op_key(b)),
+                    "{workload:?} seed {seed}"
+                );
+            }
+        }
+        // The load phase names every record with the same key text.
+        let load = load_ops(&cfg(Workload::A));
+        for (r, op) in load.iter().flatten().enumerate() {
+            assert_eq!(op.key(), key_for(r as u64));
         }
     }
 
@@ -257,7 +378,8 @@ mod tests {
 
     #[test]
     fn keys_are_16_bytes() {
-        assert_eq!(key_for(0).len(), 16);
-        assert_eq!(key_for(249_999).len(), 16);
+        let mut buf = String::new();
+        assert_eq!(shared_key(&mut buf, 0).len(), 16);
+        assert_eq!(shared_key(&mut buf, 249_999).len(), 16);
     }
 }
